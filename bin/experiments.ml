@@ -749,15 +749,7 @@ let validate_cmd =
       "fluid (ms)" "ratio";
     List.iter
       (fun size ->
-        let topo =
-          Netsim.Topology.leaf_spine ~leaves:params.Experiments.Fig4.leaves
-            ~spines:params.Experiments.Fig4.spines
-            ~hosts_per_leaf:params.Experiments.Fig4.hosts_per_leaf
-            ~access_rate:params.Experiments.Fig4.access_rate
-            ~fabric_rate:params.Experiments.Fig4.fabric_rate
-            ~link_delay:params.Experiments.Fig4.link_delay
-        in
-        let routing = Netsim.Routing.compute topo in
+        let topo, routing = Experiments.Fig4.fabric params in
         let sim = Engine.Sim.create () in
         let transport = Netsim.Transport.create ~sim () in
         let net =

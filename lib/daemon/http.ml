@@ -2,7 +2,8 @@ type request = { meth : string; target : string }
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  let rec matches i k = k = n || (haystack.[i + k] = needle.[k] && matches i (k + 1)) in
+  let rec at i = i + n <= h && (matches i 0 || at (i + 1)) in
   n > 0 && at 0
 
 let head_complete buf = contains ~needle:"\r\n\r\n" buf || contains ~needle:"\n\n" buf

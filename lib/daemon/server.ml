@@ -1,4 +1,5 @@
 module T = Qvisor.Tenant
+module Fig4 = Experiments.Fig4
 
 type config = {
   socket_path : string;
@@ -19,46 +20,24 @@ type config = {
   snapshot_interval : float;  (* simulated seconds between tsdb snapshots *)
 }
 
-(* The serving fabric is the paper's quick-scale leaf-spine evaluation
-   topology; serving capacity scales with later roadmap items (intra-sim
-   parallelism), not with daemon knobs. *)
-let leaves = 2
-
-let spines = 2
-
-let hosts_per_leaf = 4
-
-let access_rate = 1e9
-
-let fabric_rate = 4e9
-
-let link_delay = 1e-6
-
-let queue_capacity_pkts = 100
-
-let pfabric_unit_bytes = 1000
-
-let edf_unit_seconds = 2e-5
-
-let deadline_budget = 2e-3
+(* The served scenario is the paper's quick-scale Fig. 4 evaluation: its
+   leaf-spine fabric, port queues, tenants and rank units.  Serving
+   capacity scales with later roadmap items (intra-sim parallelism), not
+   with daemon knobs. *)
+let scenario = Fig4.quick
 
 let deadline_flow_bytes = 14_600 (* ten full payloads per deadline flow *)
 
-let default_tenants =
-  [
-    T.make ~algorithm:"pfabric" ~rank_lo:0
-      ~rank_hi:(30_000_000 / pfabric_unit_bytes)
-      ~id:0 ~name:"pfabric" ();
-    T.make ~algorithm:"edf" ~rank_lo:0
-      ~rank_hi:(int_of_float (1.5 *. deadline_budget /. edf_unit_seconds))
-      ~id:1 ~name:"edf" ();
-  ]
+(* Unanswered input one connection may buffer: a control line or an HTTP
+   head longer than this is refused, which bounds both the memory a
+   client can pin and the cost of rescanning for the line or head end. *)
+let max_pending_bytes = 65_536
 
 let default_config =
   {
     socket_path = "qvisor.sock";
     http_port = 0;
-    tenants = default_tenants;
+    tenants = Fig4.qvisor_tenants scenario;
     policy = Qvisor.Policy.parse_exn "edf >> pfabric";
     levels = None;
     seed = 1;
@@ -77,7 +56,7 @@ let default_config =
 type conn = {
   fd : Unix.file_descr;
   kind : [ `Ctl | `Http ];
-  mutable pending : string;
+  pending : Buffer.t;
   mutable closed : bool;
 }
 
@@ -87,8 +66,7 @@ type t = {
   transport : Netsim.Transport.t;
   net : Netsim.Net.t;
   runtime : Qvisor.Runtime.t;
-  auditor : Qvisor.Slo.t ref;
-  health : Engine.Health.t;
+  audit : Qvisor.Audit.t;
   remediation : Remediation.t;
   rng : Engine.Rng.t;
   tel : Engine.Telemetry.t;
@@ -120,54 +98,10 @@ let socket_path t = t.config.socket_path
 
 let stop t = t.stopping <- true
 
-(* ------------------------------------------------------------------ *)
-(* SLO plumbing                                                       *)
-(* ------------------------------------------------------------------ *)
+let health t = Qvisor.Audit.health t.audit
 
-let envelopes tenants ~load =
-  let sigma = float_of_int (queue_capacity_pkts * 1518) in
-  List.map
-    (fun tn ->
-      ( tn.T.id,
-        Qvisor.Latency.envelope ~sigma ~rho:(load *. access_rate /. 8.) ))
-    tenants
-
-let make_auditor runtime ~load =
-  let plan = Qvisor.Runtime.plan runtime in
-  let tenants = Qvisor.Runtime.tenants runtime in
-  let objectives =
-    Qvisor.Slo.derive ~plan ~envelopes:(envelopes tenants ~load)
-      ~link_rate:access_rate ()
-  in
-  Qvisor.Slo.create ~objectives ()
-
-let rebuild_slo t = t.auditor := make_auditor t.runtime ~load:t.config.load
-
-let health_severity = function
-  | Engine.Health.Healthy -> 0.
-  | Engine.Health.Degraded -> 1.
-  | Engine.Health.Violating -> 2.
-
-let mirror t (tn : T.t) =
-  if Engine.Telemetry.is_enabled t.tel then begin
-    let id = tn.T.id in
-    (match Qvisor.Slo.status !(t.auditor) ~tenant_id:id with
-    | None -> ()
-    | Some st ->
-      let set name v =
-        Engine.Telemetry.Gauge.set
-          (Engine.Telemetry.gauge t.tel
-             (Printf.sprintf "slo.tenant.%d.%s" id name))
-          v
-      in
-      set "fast_burn" st.Qvisor.Slo.fast_burn;
-      set "slow_burn" st.Qvisor.Slo.slow_burn;
-      set "budget_remaining" st.Qvisor.Slo.budget_remaining;
-      set "delay_quantile_seconds" st.Qvisor.Slo.observed_delay);
-    Engine.Telemetry.Gauge.set
-      (Engine.Telemetry.gauge t.tel (Printf.sprintf "health.tenant.%d.state" id))
-      (health_severity (Engine.Health.state t.health ~id))
-  end
+(* Every admitted epoch re-derives the objectives from the new plan. *)
+let rederive t = Qvisor.Audit.rederive t.audit (Qvisor.Runtime.plan t.runtime)
 
 (* ------------------------------------------------------------------ *)
 (* Retention store                                                     *)
@@ -220,7 +154,7 @@ let execute_remediation t (tn : T.t) ~attempt ~action ~now =
   (match result with
   | Ok () ->
     t.remediations <- t.remediations + 1;
-    rebuild_slo t
+    rederive t
   | Error _ -> ());
   annotate t ~kind:"remediation" ~tenant:tn.T.name
     ~detail:
@@ -237,18 +171,16 @@ let tick t =
   List.iter
     (fun (tn : T.t) ->
       let id = tn.T.id in
-      let signal, detail = Qvisor.Slo.evaluate !(t.auditor) ~tenant_id:id in
-      Engine.Health.observe t.health ~id ~time:now ~source:"slo" ~detail signal;
-      let state = Engine.Health.state t.health ~id in
+      Qvisor.Audit.observe t.audit tn;
       (match
          Remediation.observe t.remediation ~id ~now
            ~levels:(Qvisor.Runtime.config t.runtime).Qvisor.Synthesizer.levels
-           state
+           (Engine.Health.state (health t) ~id)
        with
       | Remediation.Hold -> ()
       | Remediation.Fire { attempt; action } ->
         execute_remediation t tn ~attempt ~action ~now);
-      mirror t tn)
+      Qvisor.Audit.mirror t.audit tn)
     (Qvisor.Runtime.tenants t.runtime)
 
 (* ------------------------------------------------------------------ *)
@@ -258,23 +190,12 @@ let tick t =
 let deadline_driven (tn : T.t) =
   match tn.T.algorithm with "edf" | "lstf" -> true | _ -> false
 
-let ranker_for (tn : T.t) =
-  match tn.T.algorithm with
-  | "pfabric" | "srpt" -> Sched.Ranker.pfabric ~unit_bytes:pfabric_unit_bytes ()
-  | "edf" ->
-    Sched.Ranker.edf ~unit_seconds:edf_unit_seconds
-      ~horizon:(1.5 *. deadline_budget) ()
-  | "lstf" -> Sched.Ranker.lstf ~line_rate:access_rate ()
-  | "stfq" -> Sched.Ranker.stfq ()
-  | "fifo_plus" | "fifo+" -> Sched.Ranker.fifo_plus ()
-  | _ -> Sched.Ranker.fifo ()
-
 let start_traffic t (tn : T.t) =
   let id = tn.T.id in
   let active = ref true in
   Hashtbl.replace t.traffic id active;
   let rng = Engine.Rng.split t.rng in
-  let ranker = ranker_for tn in
+  let ranker = Fig4.ranker scenario tn.T.algorithm in
   let deadline = deadline_driven tn in
   let dist = Netsim.Workload.data_mining () in
   let mean_size =
@@ -283,7 +204,8 @@ let start_traffic t (tn : T.t) =
   in
   let rate =
     Netsim.Workload.flow_arrival_rate ~load:t.config.load
-      ~num_hosts:t.num_hosts ~access_rate ~mean_flow_size:mean_size
+      ~num_hosts:t.num_hosts ~access_rate:scenario.Fig4.access_rate
+      ~mean_flow_size:mean_size
   in
   let completed =
     Engine.Telemetry.counter t.tel
@@ -304,7 +226,8 @@ let start_traffic t (tn : T.t) =
         if deadline then
           Some
             (Engine.Sim.now t.sim
-            +. deadline_budget *. Engine.Rng.float_range rng ~lo:0.5 ~hi:1.5)
+            +. scenario.Fig4.cbr_deadline
+               *. Engine.Rng.float_range rng ~lo:0.5 ~hi:1.5)
         else None
       in
       ignore
@@ -349,7 +272,7 @@ let status t =
             Proto.ts_id = tn.T.id;
             ts_name = tn.T.name;
             ts_algorithm = tn.T.algorithm;
-            ts_health = Engine.Health.state t.health ~id:tn.T.id;
+            ts_health = Engine.Health.state (health t) ~id:tn.T.id;
           })
         (Qvisor.Runtime.tenants t.runtime);
     resyntheses = Qvisor.Runtime.resyntheses t.runtime;
@@ -395,19 +318,17 @@ let handle_request t (req : Proto.request) : Proto.outcome =
         match Qvisor.Runtime.add_tenant t.runtime tenant ?policy () with
         | Error e -> Error e
         | Ok () ->
-          rebuild_slo t;
-          Engine.Health.watch t.health ~id:tenant.T.id ~name:tenant.T.name;
+          rederive t;
           start_traffic t tenant;
-          mirror t tenant;
+          Qvisor.Audit.mirror t.audit tenant;
           Ok (Proto.Added { epoch = epoch t })))
   | Proto.Tenant_remove { tenant_id; policy } -> (
     match Qvisor.Runtime.remove_tenant t.runtime ~tenant_id ?policy () with
     | Error e -> Error e
     | Ok () ->
       stop_traffic t ~tenant_id;
-      Engine.Health.unwatch t.health ~id:tenant_id;
       Remediation.forget t.remediation ~id:tenant_id;
-      rebuild_slo t;
+      rederive t;
       Ok (Proto.Removed { epoch = epoch t }))
   | Proto.Policy_update policy -> (
     let current = Qvisor.Runtime.tenants t.runtime in
@@ -417,7 +338,7 @@ let handle_request t (req : Proto.request) : Proto.outcome =
       match Qvisor.Runtime.update_policy t.runtime policy with
       | Error e -> Error e
       | Ok () ->
-        rebuild_slo t;
+        rederive t;
         Ok (Proto.Updated { epoch = epoch t })))
 
 (* ------------------------------------------------------------------ *)
@@ -488,7 +409,7 @@ let metrics_body t =
     (families @ extra @ [ Engine.Exposition.scrape_timestamp_family () ])
 
 let healthz_body t =
-  let worst = Engine.Health.worst t.health in
+  let worst = Engine.Health.worst (health t) in
   ( Engine.Health.state_to_string worst ^ "\n",
     worst <> Engine.Health.Violating )
 
@@ -643,7 +564,7 @@ let query_body t params =
             ( "health",
               J.String
                 (Engine.Health.state_to_string
-                   (Engine.Health.state t.health ~id:tn.T.id)) );
+                   (Engine.Health.state (health t) ~id:tn.T.id)) );
           ])
       tenants
   in
@@ -727,14 +648,17 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-let rec process_control_lines t c =
-  if not c.closed then
-    match String.index_opt c.pending '\n' with
-    | None -> ()
+(* Answer every complete line buffered; a trailing partial line stays
+   buffered for the next read. *)
+let process_control_lines t c =
+  let input = Buffer.contents c.pending in
+  Buffer.clear c.pending;
+  let rec from start =
+    match String.index_from_opt input start '\n' with
+    | None ->
+      Buffer.add_substring c.pending input start (String.length input - start)
     | Some i ->
-      let line = strip_cr (String.sub c.pending 0 i) in
-      c.pending <-
-        String.sub c.pending (i + 1) (String.length c.pending - i - 1);
+      let line = strip_cr (String.sub input start (i - start)) in
       if line <> "" then begin
         let outcome =
           match Proto.parse_request line with
@@ -744,12 +668,15 @@ let rec process_control_lines t c =
         try send c.fd (Proto.outcome_line outcome)
         with Unix.Unix_error _ -> close_conn c
       end;
-      process_control_lines t c
+      if not c.closed then from (i + 1)
+  in
+  from 0
 
 let serve_http t c =
-  if Http.head_complete c.pending then begin
+  let head = Buffer.contents c.pending in
+  if Http.head_complete head then begin
     let resp =
-      match Http.parse_request c.pending with
+      match Http.parse_request head with
       | Error e -> Http.bad_request e
       | Ok { Http.meth = "GET"; target } -> (
         match Http.split_target target with
@@ -771,15 +698,34 @@ let serve_http t c =
     close_conn c
   end
 
+(* A client whose unanswered input outgrows [max_pending_bytes] gets a
+   typed refusal and is closed. *)
+let refuse c =
+  let answer =
+    match c.kind with
+    | `Ctl ->
+      Proto.outcome_line
+        (Error
+           (Qvisor.Error.Config
+              (Printf.sprintf "request line exceeds %d bytes" max_pending_bytes)))
+    | `Http ->
+      Http.bad_request
+        (Printf.sprintf "request head exceeds %d bytes" max_pending_bytes)
+  in
+  (try send c.fd answer with Unix.Unix_error _ -> ());
+  close_conn c
+
 let read_conn t c =
   let bytes = Bytes.create 4096 in
   match Unix.read c.fd bytes 0 4096 with
   | 0 -> close_conn c
-  | n -> (
-    c.pending <- c.pending ^ Bytes.sub_string bytes 0 n;
-    match c.kind with
+  | n ->
+    Buffer.add_subbytes c.pending bytes 0 n;
+    (match c.kind with
     | `Ctl -> process_control_lines t c
-    | `Http -> serve_http t c)
+    | `Http -> serve_http t c);
+    if (not c.closed) && Buffer.length c.pending > max_pending_bytes then
+      refuse c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
@@ -789,7 +735,8 @@ let rec accept_all t kind fd =
   match Unix.accept ~cloexec:true fd with
   | cfd, _ ->
     Unix.set_nonblock cfd;
-    t.conns <- { fd = cfd; kind; pending = ""; closed = false } :: t.conns;
+    t.conns <-
+      { fd = cfd; kind; pending = Buffer.create 256; closed = false } :: t.conns;
     accept_all t kind fd
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -834,7 +781,6 @@ let create config =
       ~clock:(fun () -> Engine.Sim.now sim)
       ~tenants:config.tenants ~policy:config.policy ()
   in
-  let auditor = ref (make_auditor runtime ~load:config.load) in
   let tsdb = Engine.Tsdb.create () in
   let health =
     Engine.Health.create ?alerts:config.alerts
@@ -850,22 +796,20 @@ let create config =
           ())
       ()
   in
-  List.iter
-    (fun tn -> Engine.Health.watch health ~id:tn.T.id ~name:tn.T.name)
-    (Qvisor.Runtime.tenants runtime);
-  let topo =
-    Netsim.Topology.leaf_spine ~leaves ~spines ~hosts_per_leaf ~access_rate
-      ~fabric_rate ~link_delay
+  let audit =
+    Qvisor.Audit.create ~sim ~telemetry:config.telemetry ~health ~guard:false
+      ~capacity_pkts:scenario.Fig4.queue_capacity_pkts
+      ~link_rate:scenario.Fig4.access_rate
+      ~rho:(fun _ -> config.load *. scenario.Fig4.access_rate /. 8.)
+      (Qvisor.Runtime.plan runtime)
   in
-  let routing = Netsim.Routing.compute topo in
+  let topo, routing = Fig4.fabric scenario in
   let transport = Netsim.Transport.create ~sim () in
+  let capacity_pkts = scenario.Fig4.queue_capacity_pkts in
   let make_qdisc =
     match config.inject_qdisc with
-    | Some f -> fun _ -> f ~capacity_pkts:queue_capacity_pkts
-    | None ->
-      fun _ ->
-        Sched.Bucket_queue.create ~name:"pifo"
-          ~capacity_pkts:queue_capacity_pkts ()
+    | Some f -> fun _ -> f ~capacity_pkts
+    | None -> fun _ -> Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts ()
   in
   (* The recorder's trigger re-fires on every dump; one annotation per
      link per second is plenty for the incident track. *)
@@ -888,14 +832,10 @@ let create config =
             ()
         end)
       ~preprocess:(Qvisor.Runtime.process runtime)
-      ~on_enqueue:(fun p -> Qvisor.Slo.on_enqueue !auditor p)
-      ~on_dequeue:(fun (p : Sched.Packet.t) ->
-        Qvisor.Slo.on_delay !auditor ~tenant_id:p.Sched.Packet.tenant
-          (Engine.Sim.now sim -. p.Sched.Packet.enqueued_at))
-      ~on_drop:(fun p -> Qvisor.Slo.on_drop !auditor p)
-      ~on_tie_inversion:(fun (p : Sched.Packet.t) ->
-        Qvisor.Slo.on_tie_inversion !auditor
-          ~tenant_id:p.Sched.Packet.tenant)
+      ~on_enqueue:(Qvisor.Audit.on_enqueue audit)
+      ~on_dequeue:(Qvisor.Audit.on_dequeue audit)
+      ~on_drop:(Qvisor.Audit.on_drop audit)
+      ~on_tie_inversion:(Qvisor.Audit.on_tie_inversion audit)
       ~telemetry:config.telemetry
       ~deliver:(Netsim.Transport.deliver transport)
       ()
@@ -917,15 +857,14 @@ let create config =
       transport;
       net;
       runtime;
-      auditor;
-      health;
+      audit;
       remediation = Remediation.create ~config:config.remediation ();
       rng = Engine.Rng.create ~seed:config.seed;
       tel = config.telemetry;
       tsdb;
       started_wall = Unix.gettimeofday ();
       next_snapshot = 0.;
-      num_hosts = leaves * hosts_per_leaf;
+      num_hosts = scenario.Fig4.leaves * scenario.Fig4.hosts_per_leaf;
       traffic = Hashtbl.create 8;
       ctl_listen;
       http_listen;
@@ -937,7 +876,7 @@ let create config =
     }
   in
   List.iter (fun tn -> start_traffic t tn) (Qvisor.Runtime.tenants runtime);
-  List.iter (fun tn -> mirror t tn) (Qvisor.Runtime.tenants runtime);
+  List.iter (Qvisor.Audit.mirror audit) (Qvisor.Runtime.tenants runtime);
   Ok t
 
 let cleanup t =

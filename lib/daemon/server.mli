@@ -49,10 +49,18 @@ type config = {
 }
 
 val default_config : config
-(** Quick-scale fabric (2 leaves x 2 spines x 4 hosts/leaf at 1 Gb/s
-    access), [socket_path = "qvisor.sock"], ephemeral HTTP port, the
-    paper's two tenants under ["edf >> pfabric"], 10 ms slices,
-    [load = 0.3], telemetry enabled. *)
+(** The daemon serves {!Experiments.Fig4.quick}'s scenario: its fabric
+    (2 leaves x 2 spines x 4 hosts/leaf at 1 Gb/s access), port queues,
+    rank units ({!Experiments.Fig4.ranker}) and, by default, its two
+    tenants ({!Experiments.Fig4.qvisor_tenants}) under
+    ["edf >> pfabric"], audited by {!Qvisor.Audit} as [Fig4.run] audits
+    them.  [socket_path = "qvisor.sock"], ephemeral HTTP port, 10 ms
+    slices, [load = 0.3], telemetry enabled. *)
+
+val max_pending_bytes : int
+(** Unanswered input one connection may buffer (64 KiB).  A control
+    client whose line, or an HTTP client whose request head, grows past
+    it gets a [config] error line or a [400] and is closed. *)
 
 type t
 

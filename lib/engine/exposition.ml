@@ -226,14 +226,6 @@ let families_of_registry ?namespace ?tenant_names tel =
           value = float_of_int (Telemetry.Histogram.count h);
         })
     (Telemetry.exported_histograms tel);
-  List.iter
-    (fun (dotted, total) ->
-      let name, labels = collapse dotted in
-      let name = with_total name in
-      add_sample b ~name ~help:(generalize dotted ^ " (series total)")
-        ~mtype:Counter
-        { sample_name = name; labels; value = total })
-    (Telemetry.exported_series tel);
   finish b
 
 (* ------------------------------------------------------------------ *)

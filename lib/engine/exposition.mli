@@ -10,10 +10,9 @@
        preprocessor.rank_error -> qvisor_preprocessor_rank_error  (summary) v}
 
     where the [tenant] label is resolved through the optional
-    [tenant_names] map.  Counters (and per-series totals) get the
-    conventional [_total] suffix; histograms render as Prometheus
-    {e summaries}: one [quantile] sample per tracked sketch
-    (0.5/0.9/0.99) plus [_sum]/[_count].
+    [tenant_names] map.  Counters get the conventional [_total] suffix;
+    histograms render as Prometheus {e summaries}: one [quantile] sample
+    per tracked sketch (0.5/0.9/0.99) plus [_sum]/[_count].
 
     Names are sanitized, never trusted: any character outside
     [[a-zA-Z0-9_:]] becomes [_], and a leading digit is prefixed with
@@ -76,9 +75,9 @@ val families_of_registry :
 (** Every metric of the registry as exposition families, sorted by family
     name.  [namespace] (default ["qvisor"]) prefixes every family;
     [tenant_names] maps the numeric component after a [tenant] path
-    element to a human name.  Counters and series totals become
-    [counter] families ([_total] suffix), gauges become [gauge] families,
-    histograms become [summary] families.  Dotted names that collapse to
+    element to a human name.  Counters become [counter] families
+    ([_total] suffix), gauges become [gauge] families, histograms become
+    [summary] families.  Dotted names that collapse to
     the same family (e.g. [net.port.0.drop] / [net.port.1.drop]) merge
     into one family with one labelled sample each.  The disabled registry
     yields [[]]. *)

@@ -59,13 +59,6 @@ module Histogram = struct
     P2_quantile.estimate sketch
 end
 
-module Series = struct
-  type t = { ts : Timeseries.t option }
-
-  let record t ~time v =
-    match t.ts with None -> () | Some ts -> Timeseries.add ts ~time v
-end
-
 type sink = {
   oc : out_channel;
   sample : float;
@@ -79,7 +72,6 @@ type t = {
   counters : (string, Counter.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
-  series_tbl : (string, float * Timeseries.t) Hashtbl.t; (* bucket, data *)
   mutable sink : sink option;
 }
 
@@ -89,7 +81,6 @@ let create () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
     histograms = Hashtbl.create 8;
-    series_tbl = Hashtbl.create 4;
     sink = None;
   }
 
@@ -101,7 +92,6 @@ let disabled =
     counters = Hashtbl.create 1;
     gauges = Hashtbl.create 1;
     histograms = Hashtbl.create 1;
-    series_tbl = Hashtbl.create 1;
     sink = None;
   }
 
@@ -126,16 +116,6 @@ let gauge t name =
 let histogram t name =
   if not t.enabled then Histogram.make ()
   else intern t.histograms name Histogram.make
-
-let series t ?(bucket = 0.01) name =
-  if not t.enabled then { Series.ts = None }
-  else begin
-    let _, ts =
-      intern t.series_tbl name (fun () ->
-          (bucket, Timeseries.create ~bucket ()))
-    in
-    { Series.ts = Some ts }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink                                                         *)
@@ -218,12 +198,6 @@ let merge_into ~into src =
         P2_quantile.merge_into ~into:dst.Histogram.p90 h.Histogram.p90;
         P2_quantile.merge_into ~into:dst.Histogram.p99 h.Histogram.p99)
       (sorted_bindings src.histograms);
-    List.iter
-      (fun (name, (bucket, ts)) ->
-        match (series into ~bucket name).Series.ts with
-        | Some dst_ts -> Timeseries.merge_into ~into:dst_ts ts
-        | None -> ())
-      (sorted_bindings src.series_tbl);
     match (into.sink, src.sink) with
     | Some d, Some s ->
       d.seen <- d.seen + s.seen;
@@ -242,11 +216,6 @@ let exported_gauges t =
   List.map (fun (name, g) -> (name, Gauge.value g)) (sorted_bindings t.gauges)
 
 let exported_histograms t = sorted_bindings t.histograms
-
-let exported_series t =
-  List.map
-    (fun (name, (_, ts)) -> (name, Timeseries.total ts))
-    (sorted_bindings t.series_tbl)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                           *)
@@ -280,20 +249,6 @@ let snapshot t =
             ("p99", num_or_null (P2_quantile.estimate h.p99));
           ])
   in
-  let series_json =
-    sorted_fields t.series_tbl (fun (bucket, ts) ->
-        Json.Obj
-          [
-            ("bucket", Json.Number bucket);
-            ("total", num_or_null (Timeseries.total ts));
-            ( "points",
-              Json.List
-                (List.map
-                   (fun (time, v) ->
-                     Json.List [ Json.Number time; num_or_null v ])
-                   (Timeseries.buckets ts)) );
-          ])
-  in
   let trace =
     match t.sink with
     | None -> []
@@ -313,6 +268,5 @@ let snapshot t =
        ("counters", Json.Obj counters);
        ("gauges", Json.Obj gauges);
        ("histograms", Json.Obj histograms);
-       ("series", Json.Obj series_json);
      ]
     @ trace)

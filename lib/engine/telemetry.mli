@@ -7,13 +7,12 @@
     detached dummy and every operation degenerates to a single unobserved
     store — near-zero cost, no branches in callers.
 
-    Four metric kinds cover the repro's needs:
+    Three metric kinds cover the repro's needs:
 
     - {b counters} — monotone event counts (enqueues, drops, table hits);
     - {b gauges} — last-written values (events fired, wall-clock seconds);
     - {b histograms} — constant-memory distributions: Welford moments
-      ({!Stats}) plus P² sketches ({!P2_quantile}) for p50/p90/p99;
-    - {b series} — bucketed time series ({!Timeseries}) for rate plots.
+      ({!Stats}) plus P² sketches ({!P2_quantile}) for p50/p90/p99.
 
     Orthogonally, a registry may carry one {e trace sink}: an NDJSON
     [out_channel] receiving one JSON object per sampled packet-level event
@@ -61,12 +60,6 @@ module Histogram : sig
       what a Prometheus summary exposes as [_sum]/[_count]. *)
 end
 
-module Series : sig
-  type t
-
-  val record : t -> time:float -> float -> unit
-end
-
 val create : unit -> t
 (** A fresh, enabled registry. *)
 
@@ -83,9 +76,6 @@ val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 
 val histogram : t -> string -> Histogram.t
-
-val series : t -> ?bucket:float -> string -> Series.t
-(** [bucket] (default [0.01] s) is only used on first interning. *)
 
 (** {1 Trace sink} *)
 
@@ -138,11 +128,11 @@ val merge_into : into:t -> t -> unit
     counters add, gauges take [src]'s value (last-write-wins, matching a
     serial run where [src]'s work executed later), histograms combine
     moments via {!Stats.merge_into} and quantile sketches via
-    {!P2_quantile.merge_into}, series sum bucket-wise, and trace
-    seen/written counts add when both registries carry a sink.  The merge
-    is deterministic: merging the same registries in the same order always
-    produces the same snapshot, which is how parallel experiment runs keep
-    [--telemetry] output independent of the worker count.  No-op when
+    {!P2_quantile.merge_into}, and trace seen/written counts add when
+    both registries carry a sink.  The merge is deterministic: merging
+    the same registries in the same order always produces the same
+    snapshot, which is how parallel experiment runs keep [--telemetry]
+    output independent of the worker count.  No-op when
     either registry is disabled.  [src] is left untouched. *)
 
 (** {1 Export} *)
@@ -156,11 +146,8 @@ val exported_gauges : t -> (string * float) list
 val exported_histograms : t -> (string * Histogram.t) list
 (** Live handles, not copies: read them, do not observe into them. *)
 
-val exported_series : t -> (string * float) list
-(** [(name, total)] per interned time series. *)
-
 val snapshot : t -> Json.t
 (** The whole registry as one JSON object:
-    [{"counters":{..},"gauges":{..},"histograms":{..},"series":{..},
-      "trace":{..}}], names sorted for stable output.  Empty-histogram
-    moments are [null] rather than NaN so the result always serializes. *)
+    [{"counters":{..},"gauges":{..},"histograms":{..},"trace":{..}}],
+    names sorted for stable output.  Empty-histogram moments are [null]
+    rather than NaN so the result always serializes. *)

@@ -140,49 +140,45 @@ let qvisor_tenants params =
       ~id:edf_tenant_id ~name:"edf" ();
   ]
 
-(* Arrival envelopes for the worst-case analysis.  The burst term is the
-   physically realizable worst case at a port: a full queue of MTU
-   packets bounds any packet's backlog regardless of the Poisson
-   arrivals, so bounds derived from it hold empirically.  Rates are the
-   offered loads in bytes/s; the link rate used is the access rate — the
-   slowest (binding) link of the fabric. *)
-let slo_envelopes params =
-  let sigma = float_of_int (params.queue_capacity_pkts * 1518) in
-  [
-    ( pfabric_tenant_id,
-      Qvisor.Latency.envelope ~sigma
-        ~rho:(params.load *. params.access_rate /. 8.) );
-    (edf_tenant_id, Qvisor.Latency.envelope ~sigma ~rho:(params.cbr_rate /. 8.));
-  ]
+let ranker params algorithm =
+  match algorithm with
+  | "pfabric" | "srpt" ->
+    Sched.Ranker.pfabric ~unit_bytes:params.pfabric_unit_bytes ()
+  | "edf" ->
+    Sched.Ranker.edf ~unit_seconds:params.edf_unit_seconds
+      ~horizon:(1.5 *. params.cbr_deadline)
+      ()
+  | "lstf" -> Sched.Ranker.lstf ~line_rate:params.access_rate ()
+  | "stfq" -> Sched.Ranker.stfq ()
+  | "fifo_plus" | "fifo+" -> Sched.Ranker.fifo_plus ()
+  | _ -> Sched.Ranker.fifo ()
 
-(* Everything the online audit needs, built only for QVISOR
-   pre-processor schemes with [~slo:true]. *)
-type slo_runtime = {
-  auditor : Qvisor.Slo.t;
-  health : Engine.Health.t;
-  guard : Qvisor.Guard.t;
-}
+let fabric params =
+  let topo =
+    Netsim.Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines
+      ~hosts_per_leaf:params.hosts_per_leaf ~access_rate:params.access_rate
+      ~fabric_rate:params.fabric_rate ~link_delay:params.link_delay
+  in
+  (topo, Netsim.Routing.compute topo)
 
-let health_severity = function
-  | Engine.Health.Healthy -> 0.
-  | Engine.Health.Degraded -> 1.
-  | Engine.Health.Violating -> 2.
+(* Offered loads in bytes/s, the rates of the audit's arrival envelopes;
+   the audit's link rate is the access rate, the slowest (binding) link
+   of the fabric. *)
+let offered_rate params (tn : Qvisor.Tenant.t) =
+  if tn.Qvisor.Tenant.id = edf_tenant_id then params.cbr_rate /. 8.
+  else params.load *. params.access_rate /. 8.
+
+(* Simulated seconds between SLO evaluations. *)
+let slo_interval = 0.01
 
 let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) ?flight ?on_anomaly ?(slo = false)
-    ?alerts ?(slo_interval = 0.01) ?(on_tick = fun (_ : float) -> ())
-    ?(perf = true) params scheme =
+    ?alerts ?(on_tick = fun (_ : float) -> ()) ?(perf = true) params scheme =
   Engine.Span.with_ profiler ~name:"fig4.run" @@ fun () ->
   let ( let* ) = Result.bind in
   let num_hosts = params.leaves * params.hosts_per_leaf in
   let topo, routing =
-    Engine.Span.with_ profiler ~name:"fig4.topology" @@ fun () ->
-    let topo =
-      Netsim.Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines
-        ~hosts_per_leaf:params.hosts_per_leaf ~access_rate:params.access_rate
-        ~fabric_rate:params.fabric_rate ~link_delay:params.link_delay
-    in
-    (topo, Netsim.Routing.compute topo)
+    Engine.Span.with_ profiler ~name:"fig4.topology" @@ fun () -> fabric params
   in
   let sim = Engine.Sim.create ~profiler () in
   (* The perf layer (stage meters, GC gauges, pause monitor) rides on the
@@ -199,7 +195,7 @@ let run ?(telemetry = Engine.Telemetry.disabled)
   in
   let rng = Engine.Rng.create ~seed:params.seed in
   let transport = Netsim.Transport.create ~sim () in
-  let* preprocess, make_qdisc, slo_rt =
+  let* preprocess, make_qdisc, audit =
     let fifo _ = Sched.Fifo_queue.create ~capacity_pkts:params.queue_capacity_pkts () in
     (* Exact PIFO semantics from the O(1) bucket-queue core; raw pFabric
        ranks (flow-size cap / unit bytes) fit the default rank space, and
@@ -207,11 +203,6 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     let pifo _ =
       Sched.Bucket_queue.create ~name:"pifo"
         ~capacity_pkts:params.queue_capacity_pkts ()
-    in
-    let* () =
-      if slo && slo_interval <= 0. then
-        Error (Qvisor.Error.Config "slo_interval must be positive")
-      else Ok ()
     in
     let* () =
       match scheme with
@@ -252,35 +243,18 @@ let run ?(telemetry = Engine.Telemetry.disabled)
       let* plan =
         Qvisor.Synthesizer.synthesize ~profiler ~config ~tenants ~policy ()
       in
-      let slo_rt =
+      let audit =
         if not slo then None
-        else begin
-          let objectives =
-            Qvisor.Slo.derive ~plan ~envelopes:(slo_envelopes params)
-              ~link_rate:params.access_rate ()
-          in
-          let auditor = Qvisor.Slo.create ~objectives () in
-          let health = Engine.Health.create ?alerts () in
-          List.iter
-            (fun (tn : Qvisor.Tenant.t) ->
-              Engine.Health.watch health ~id:tn.Qvisor.Tenant.id
-                ~name:tn.Qvisor.Tenant.name)
-            tenants;
-          let guard =
-            Qvisor.Guard.create ~telemetry
-              ~clock:(fun () -> Engine.Sim.now sim)
-              ~tenants ()
-          in
-          Some { auditor; health; guard }
-        end
-      in
-      let on_rank_error =
-        Option.map
-          (fun rt id e -> Qvisor.Slo.on_rank_error rt.auditor ~tenant_id:id e)
-          slo_rt
+        else
+          Some
+            (Qvisor.Audit.create ~sim ~telemetry
+               ~health:(Engine.Health.create ?alerts ())
+               ~guard:true ~capacity_pkts:params.queue_capacity_pkts
+               ~link_rate:params.access_rate ~rho:(offered_rate params) plan)
       in
       let pre =
-        Qvisor.Preprocessor.of_plan ~profiler ~telemetry ?on_rank_error
+        Qvisor.Preprocessor.of_plan ~profiler ~telemetry
+          ?on_rank_error:(Option.map Qvisor.Audit.on_rank_error audit)
           ~rank_error_sample:8 plan
       in
       let* qdisc =
@@ -293,11 +267,11 @@ let run ?(telemetry = Engine.Telemetry.disabled)
           Ok (fun _ -> Qvisor.Deploy.instantiate_exn ~plan backend)
       in
       let preprocess =
-        match slo_rt with
+        match audit with
         | None -> Qvisor.Preprocessor.process pre
-        | Some rt -> fun p -> Qvisor.Guard.process rt.guard pre p
+        | Some a -> Qvisor.Audit.preprocess a pre
       in
-      Ok (Some preprocess, qdisc, slo_rt)
+      Ok (Some preprocess, qdisc, audit)
   in
   (* Fault injection overrides the per-port scheduler wholesale — the
      point is to watch the SLO layer catch a backend that misbehaves. *)
@@ -311,159 +285,51 @@ let run ?(telemetry = Engine.Telemetry.disabled)
   let flight =
     match flight with
     | Some _ -> flight
-    | None -> if Option.is_some slo_rt then Some Netsim.Net.default_flight else None
+    | None -> if Option.is_some audit then Some Netsim.Net.default_flight else None
   in
-  let user_anomaly =
-    Option.value on_anomaly ~default:(fun ~link_id:_ _ -> ())
-  in
-  let prev = Hashtbl.create 4 in
-  (* Per-tenant pending recorder incident, folded into the health machine
-     once per evaluation tick (not per trigger fire): the triggers can
-     re-fire every cooldown window during a sustained incident, far
-     faster than the evaluation cadence, and observing each fire would
-     swamp the hysteresis the health machine promises. *)
-  let pending_incident : (int, string * float) Hashtbl.t = Hashtbl.create 4 in
   let on_anomaly ~link_id recorder =
-    user_anomaly ~link_id recorder;
-    match slo_rt with
-    | None -> ()
-    | Some rt ->
-      (* Attribute the port's drop spike to the tenant whose drop rate
-         since the previous incident overran its own budget the most.  A
-         spike the tenant's objective absorbs (a strictly-lower tier
-         being evicted by design of >>) is the policy working — only an
-         over-budget incident counts against health. *)
-      let worst = ref (-1, 0, 0.) in
-      List.iter
-        (fun (st : Qvisor.Slo.status) ->
-          let id = st.Qvisor.Slo.objective.Qvisor.Slo.tenant.Qvisor.Tenant.id in
-          let pd, pa =
-            Option.value (Hashtbl.find_opt prev id) ~default:(0, 0)
-          in
-          let ddrops = st.Qvisor.Slo.drops - pd in
-          let dattempts = st.Qvisor.Slo.attempts - pa in
-          Hashtbl.replace prev id
-            (st.Qvisor.Slo.drops, st.Qvisor.Slo.attempts);
-          let rate = float_of_int ddrops /. float_of_int (max 1 dattempts) in
-          let over = rate /. st.Qvisor.Slo.objective.Qvisor.Slo.drop_budget in
-          let _, _, worst_over = !worst in
-          if ddrops > 0 && over > worst_over then worst := (id, ddrops, over))
-        (Qvisor.Slo.statuses rt.auditor);
-      let id, ddrops, over = !worst in
-      if over > 1. then
-        let worse =
-          match Hashtbl.find_opt pending_incident id with
-          | Some (_, prev_over) -> over > prev_over
-          | None -> true
-        in
-        if worse then
-          Hashtbl.replace pending_incident id
-            ( Printf.sprintf
-                "port %d drop spike (+%d tenant drops, %.1fx over budget)"
-                link_id ddrops over,
-              over )
+    Option.iter (fun f -> f ~link_id recorder) on_anomaly;
+    Option.iter (fun a -> Qvisor.Audit.on_drop_spike a ~link_id) audit
   in
   let net =
     Netsim.Net.create ~sim ~topo ~routing ~make_qdisc ?preprocess
-      ?on_enqueue:
-        (Option.map (fun rt p -> Qvisor.Slo.on_enqueue rt.auditor p) slo_rt)
-      ?on_dequeue:
-        (Option.map
-           (fun rt (p : Sched.Packet.t) ->
-             Qvisor.Slo.on_delay rt.auditor ~tenant_id:p.Sched.Packet.tenant
-               (Engine.Sim.now sim -. p.Sched.Packet.enqueued_at))
-           slo_rt)
-      ?on_drop:(Option.map (fun rt p -> Qvisor.Slo.on_drop rt.auditor p) slo_rt)
-      ?on_tie_inversion:
-        (Option.map
-           (fun rt (p : Sched.Packet.t) ->
-             Qvisor.Slo.on_tie_inversion rt.auditor
-               ~tenant_id:p.Sched.Packet.tenant)
-           slo_rt)
+      ?on_enqueue:(Option.map Qvisor.Audit.on_enqueue audit)
+      ?on_dequeue:(Option.map Qvisor.Audit.on_dequeue audit)
+      ?on_drop:(Option.map Qvisor.Audit.on_drop audit)
+      ?on_tie_inversion:(Option.map Qvisor.Audit.on_tie_inversion audit)
       ~telemetry ~profiler ?flight ~on_anomaly ~meters
       ~deliver:(Netsim.Transport.deliver transport)
       ()
   in
   Netsim.Transport.attach transport net;
   (* Periodic SLO evaluation: fold the auditor's signal, the guard's
-     verdict, and (via [on_anomaly] above) recorder incidents into the
-     health machine; mirror the state into gauges so [--metrics-out]
-     exposes it. *)
-  let final_eval = ref (fun () -> ()) in
-  (match slo_rt with
-  | None -> ()
-  | Some rt ->
-    let until = params.duration +. params.drain in
-    let tenants = qvisor_tenants params in
-    let mirror (tn : Qvisor.Tenant.t) =
-      let id = tn.Qvisor.Tenant.id in
-      (match Qvisor.Slo.status rt.auditor ~tenant_id:id with
-      | None -> ()
-      | Some st ->
-        let set name v =
-          Engine.Telemetry.Gauge.set
-            (Engine.Telemetry.gauge telemetry
-               (Printf.sprintf "slo.tenant.%d.%s" id name))
-            v
-        in
-        set "fast_burn" st.Qvisor.Slo.fast_burn;
-        set "slow_burn" st.Qvisor.Slo.slow_burn;
-        set "budget_remaining" st.Qvisor.Slo.budget_remaining;
-        set "delay_quantile_seconds" st.Qvisor.Slo.observed_delay);
-      Engine.Telemetry.Gauge.set
-        (Engine.Telemetry.gauge telemetry
-           (Printf.sprintf "health.tenant.%d.state" id))
-        (health_severity (Engine.Health.state rt.health ~id))
-    in
-    let evaluate_all () =
-      let now = Engine.Sim.now sim in
-      List.iter
-        (fun (tn : Qvisor.Tenant.t) ->
-          let id = tn.Qvisor.Tenant.id in
-          let signal, detail = Qvisor.Slo.evaluate rt.auditor ~tenant_id:id in
-          Engine.Health.observe rt.health ~id ~time:now ~source:"slo" ~detail
-            signal;
-          (match Qvisor.Guard.verdict rt.guard ~tenant_id:id with
-          | Qvisor.Guard.Malicious _ ->
-            Engine.Health.observe rt.health ~id ~time:now ~source:"guard"
-              ~detail:"guard verdict: malicious" Engine.Health.Breach
-          | Qvisor.Guard.Suspicious _ ->
-            Engine.Health.observe rt.health ~id ~time:now ~source:"guard"
-              ~detail:"guard verdict: suspicious" Engine.Health.Warn
-          | Qvisor.Guard.Conforming -> ());
-          (match Hashtbl.find_opt pending_incident id with
-          | Some (detail, _) ->
-            Hashtbl.remove pending_incident id;
-            Engine.Health.observe rt.health ~id ~time:now ~source:"recorder"
-              ~detail Engine.Health.Warn
-          | None -> ());
-          if Engine.Telemetry.is_enabled telemetry then mirror tn)
-        tenants
-    in
-    final_eval := evaluate_all;
-    let rec tick () =
-      evaluate_all ();
-      if Engine.Perf.Meters.is_enabled meters then begin
-        Engine.Perf.Meters.publish meters telemetry;
-        Engine.Perf.sample_gc ?pause telemetry
-      end;
-      on_tick (Engine.Sim.now sim);
-      if Engine.Sim.now sim +. slo_interval <= until then
-        Engine.Sim.schedule_after_ sim ~delay:slo_interval tick
-    in
-    Engine.Sim.schedule_after_ sim ~delay:slo_interval tick);
+     verdict and recorder incidents into the health machine, and mirror
+     the state into gauges so [--metrics-out] exposes it. *)
+  Option.iter
+    (fun a ->
+      let until = params.duration +. params.drain in
+      let rec tick () =
+        Qvisor.Audit.evaluate a;
+        if Engine.Perf.Meters.is_enabled meters then begin
+          Engine.Perf.Meters.publish meters telemetry;
+          Engine.Perf.sample_gc ?pause telemetry
+        end;
+        on_tick (Engine.Sim.now sim);
+        if Engine.Sim.now sim +. slo_interval <= until then
+          Engine.Sim.schedule_after_ sim ~delay:slo_interval tick
+      in
+      Engine.Sim.schedule_after_ sim ~delay:slo_interval tick)
+    audit;
   (* Tenant 0: pFabric data-mining flows (always present). *)
   let metrics = Netsim.Metrics.create () in
-  let started_measured = ref 0 in
   let on_complete (r : Netsim.Transport.flow_result) =
     if r.Netsim.Transport.started_at >= params.warmup then
       Netsim.Metrics.record metrics r
   in
-  let pfabric_ranker = Sched.Ranker.pfabric ~unit_bytes:params.pfabric_unit_bytes () in
   let arrivals =
     Netsim.Workload.poisson_open_loop ~sim ~rng:(Engine.Rng.split rng)
-      ~transport ~tenant:pfabric_tenant_id ~ranker:pfabric_ranker ~num_hosts
-      ~load:params.load ~access_rate:params.access_rate
+      ~transport ~tenant:pfabric_tenant_id ~ranker:(ranker params "pfabric")
+      ~num_hosts ~load:params.load ~access_rate:params.access_rate
       ~dist:(Netsim.Workload.data_mining ()) ~window:params.window
       ~rto:params.rto ~until:params.duration ~on_complete ()
   in
@@ -472,20 +338,14 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     match scheme with
     | Pifo_pfabric_only -> []
     | Fifo_both | Pifo_naive | Qvisor_policy _ ->
-      let edf_ranker =
-        Sched.Ranker.edf ~unit_seconds:params.edf_unit_seconds
-          ~horizon:(1.5 *. params.cbr_deadline)
-          ()
-      in
       Netsim.Workload.cbr_tenant ~sim ~rng:(Engine.Rng.split rng) ~transport
-        ~tenant:edf_tenant_id ~ranker:edf_ranker ~num_hosts
+        ~tenant:edf_tenant_id ~ranker:(ranker params "edf") ~num_hosts
         ~flows:params.cbr_flows ~rate:params.cbr_rate
         ~deadline_budget:params.cbr_deadline
         ~until:(params.duration +. params.drain)
         ()
   in
   Engine.Sim.run ~until:(params.duration +. params.drain) sim;
-  ignore !started_measured;
   let events_fired = Engine.Sim.events_fired sim in
   let wall_seconds = Engine.Sim.busy_seconds sim in
   if Engine.Telemetry.is_enabled telemetry then begin
@@ -514,22 +374,21 @@ let run ?(telemetry = Engine.Telemetry.disabled)
   in
   let slo_report =
     Option.map
-      (fun rt ->
-        !final_eval ();
-        let tenants = qvisor_tenants params in
+      (fun a ->
+        Qvisor.Audit.evaluate a;
+        let auditor = Qvisor.Audit.slo a in
+        let health = Qvisor.Audit.health a in
         {
-          objectives = Qvisor.Slo.objectives rt.auditor;
+          objectives = Qvisor.Slo.objectives auditor;
           verdicts =
             List.map
-              (fun (tn : Qvisor.Tenant.t) ->
-                let id = tn.Qvisor.Tenant.id in
-                ( tn,
-                  Engine.Health.state rt.health ~id,
-                  Option.get (Qvisor.Slo.status rt.auditor ~tenant_id:id) ))
-              tenants;
-          health_alerts = Engine.Health.alerts_emitted rt.health;
+              (fun (st : Qvisor.Slo.status) ->
+                let tn = st.Qvisor.Slo.objective.Qvisor.Slo.tenant in
+                (tn, Engine.Health.state health ~id:tn.Qvisor.Tenant.id, st))
+              (Qvisor.Slo.statuses auditor);
+          health_alerts = Engine.Health.alerts_emitted health;
         })
-      slo_rt
+      audit
   in
   Ok
     {

@@ -66,6 +66,19 @@ val paper_scale : params
 (** The paper's exact fabric: 9 leaves x 16 hosts, 4 spines, 100 CBR
     flows at 0.5 Gb/s, 1/4 Gb/s links. *)
 
+val qvisor_tenants : params -> Qvisor.Tenant.t list
+(** The paper's two tenants in [params]' rank units: [pfabric] (id 0,
+    ranks up to the 30 MB flow-size cap) and [edf] (id 1, ranks up to
+    1.5x the CBR deadline). *)
+
+val ranker : params -> string -> Sched.Ranker.t
+(** The rank function of a tenant algorithm in [params]' units
+    ([pfabric]/[srpt], [edf], [lstf], [stfq], [fifo_plus]/[fifo+];
+    anything else ranks FIFO).  The run ranks its two tenants with it. *)
+
+val fabric : params -> Netsim.Topology.t * Netsim.Routing.t
+(** The leaf-spine topology of [params] and its routing. *)
+
 type slo_report = {
   objectives : Qvisor.Slo.objective list;
       (** the derived per-tenant objectives, in tenant-id order *)
@@ -103,7 +116,6 @@ val run :
   ?on_anomaly:(link_id:int -> Engine.Recorder.t -> unit) ->
   ?slo:bool ->
   ?alerts:out_channel ->
-  ?slo_interval:float ->
   ?on_tick:(float -> unit) ->
   ?perf:bool ->
   params ->
@@ -126,11 +138,12 @@ val run :
     samples into an auditor, runs the adversarial-workload {!Qvisor.Guard}
     on the pre-processor path, arms the flight recorder (unless [flight]
     was given), and folds all three signals into an {!Engine.Health}
-    machine evaluated every [slo_interval] simulated seconds (default
-    [0.01]).  [alerts] receives the health machine's NDJSON transition
-    stream; [on_tick] runs after each evaluation with the current
-    simulated time (the driver's periodic metrics-emission hook); the
-    final per-tenant verdicts land in [result.slo].  With [telemetry],
+    machine evaluated every 10 simulated milliseconds (the
+    {!Qvisor.Audit} wiring the [qvisor serve] daemon shares).  [alerts]
+    receives the health machine's NDJSON transition stream; [on_tick]
+    runs after each evaluation with the current simulated time (the
+    CLI's periodic metrics-emission hook); the final per-tenant verdicts
+    land in [result.slo].  With [telemetry],
     each evaluation also mirrors [slo.tenant.<id>.*] and
     [health.tenant.<id>.state] gauges into the registry.
 

@@ -361,23 +361,26 @@ let rpc fd req =
   | Ok outcome -> outcome
   | Error e -> Alcotest.failf "unparseable reply: %s" (Qvisor.Error.to_string e)
 
+(* Everything the peer sends until it closes. *)
+let read_all fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      drain ()
+  in
+  drain ()
+
 (* One full HTTP exchange against the scrape port; returns the body. *)
 let http_get port target =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   send_line fd (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" target);
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read fd chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-  in
-  drain ();
+  let doc = read_all fd in
   Unix.close fd;
-  let doc = Buffer.contents buf in
   match String.index_opt doc '\r' with
   | None -> Alcotest.failf "no status line in %S" doc
   | Some _ -> (
@@ -460,6 +463,49 @@ let test_socket_integration () =
   Thread.join server_thread;
   Alcotest.(check bool) "control socket unlinked" false
     (Sys.file_exists (Daemon.Server.socket_path t))
+
+(* A client that never ends its line (control) or its head (HTTP) is
+   refused with a typed answer and closed once its input outgrows the
+   cap, and the loop keeps serving everyone else.  Exactly one byte over
+   the cap is sent, so the daemon has read all of it when it closes. *)
+let test_input_cap () =
+  let t = temp_server () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let over = Daemon.Server.max_pending_bytes + 1 in
+  (* A daemon that never answers fails the test instead of hanging it. *)
+  let timeout fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10. in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX (Daemon.Server.socket_path t));
+    timeout fd;
+    fd
+  in
+  let hostile = connect () in
+  send_line hostile (String.make over 'x');
+  (match Daemon.Proto.parse_outcome (read_line hostile) with
+  | Ok (Error (Qvisor.Error.Config _)) -> ()
+  | _ -> Alcotest.fail "an over-cap control line must get a typed error");
+  Alcotest.(check int) "over-cap control client is closed" 0
+    (Unix.read hostile (Bytes.create 1) 0 1);
+  Unix.close hostile;
+  let http = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect http
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.Server.http_port t));
+  timeout http;
+  send_line http ("GET /" ^ String.make (over - 5) 'x');
+  let answer = read_all http in
+  Unix.close http;
+  Alcotest.(check bool) "over-cap HTTP head is a 400" true
+    (String.starts_with ~prefix:"HTTP/1.1 400" answer);
+  let fd = connect () in
+  (match rpc fd Daemon.Proto.Status with
+  | Ok (Daemon.Proto.Status_reply _) -> ()
+  | _ -> Alcotest.fail "a second client's status must still answer");
+  (match rpc fd Daemon.Proto.Shutdown with
+  | Ok Daemon.Proto.Shutting_down -> ()
+  | _ -> Alcotest.fail "shutdown must be acknowledged");
+  Unix.close fd;
+  Thread.join server_thread
 
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
@@ -656,11 +702,41 @@ let test_query_dashboard_integration () =
     Alcotest.(check bool) "status reports uptime" true
       (st.Daemon.Proto.uptime_seconds > 0.)
   | _ -> Alcotest.fail "status over the socket");
+  (* Golden behaviour pin, recorded from the reference implementation:
+     serve past simulated second 1.05, stop, and digest the store's first
+     second with the wall-clock and stop-latency-dependent fields
+     removed. *)
+  let deadline = Unix.gettimeofday () +. 60. in
+  while Daemon.Server.sim_time t < 1.05 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "serving stalled before simulated second 1.05";
+    Unix.sleepf 0.01
+  done;
   (match rpc fd Daemon.Proto.Shutdown with
   | Ok Daemon.Proto.Shutting_down -> ()
   | _ -> Alcotest.fail "shutdown must be acknowledged");
   Unix.close fd;
-  Thread.join server_thread
+  Thread.join server_thread;
+  let volatile =
+    [ "now"; "sim_time"; "uptime_seconds"; "series_count"; "memory_bytes" ]
+  in
+  let pinned =
+    match
+      Daemon.Server.query_body t
+        [ ("start", "0.000001"); ("end", "1"); ("step", "1") ]
+    with
+    | Error e -> Alcotest.failf "golden /query: %s" e
+    | Ok body -> (
+      match Engine.Json.of_string body with
+      | Ok (Engine.Json.Obj fields) ->
+        Engine.Json.to_string
+          (Engine.Json.Obj
+             (List.filter (fun (k, _) -> not (List.mem k volatile)) fields))
+      | _ -> Alcotest.failf "golden /query is not a JSON object: %s" body)
+  in
+  Alcotest.(check string) "golden /query digest"
+    "c4b664226c4c267497c4e8a3c146a153"
+    (Digest.to_hex (Digest.string pinned))
 
 let () =
   Alcotest.run "daemon"
@@ -705,5 +781,7 @@ let () =
             test_socket_integration;
           Alcotest.test_case "query, top and report end to end" `Slow
             test_query_dashboard_integration;
+          Alcotest.test_case "over-cap input is refused" `Slow
+            test_input_cap;
         ] );
     ]

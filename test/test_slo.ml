@@ -207,6 +207,29 @@ let test_parser_strictness () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate # TYPE must not parse"
 
+(* Families whose values are wall-clock measurements rather than simulated
+   behaviour; the golden digest below leaves them out. *)
+let wall_clock_family =
+  Str.regexp
+    "qvisor_\\(gc_\\|perf_stage_[a-z_]+_\\(per_sec\\|alloc_bytes_per_event\\)\\|sim_wall_seconds\\|scrape_timestamp\\)"
+
+let metric_name line =
+  match String.split_on_char ' ' line with
+  | "#" :: _ :: name :: _ -> name
+  | first :: _ -> (
+    match String.index_opt first '{' with
+    | Some i -> String.sub first 0 i
+    | None -> first)
+  | [] -> ""
+
+let simulated_exposition text =
+  String.split_on_char '\n' text
+  |> List.filter (fun line ->
+         not (Str.string_match wall_clock_family (metric_name line) 0))
+  |> String.concat "\n"
+
+let digest s = Digest.to_hex (Digest.string s)
+
 (* The property the test-side parser exists for: every line the renderer
    emits for a real, full registry parses, and re-renders verbatim. *)
 let test_roundtrip_single_run () =
@@ -240,7 +263,32 @@ let test_roundtrip_single_run () =
         Alcotest.(check string)
           (Printf.sprintf "line %d round-trips" (i + 1))
           line (Exp.render_line parsed))
-    (String.split_on_char '\n' (String.trim text))
+    (String.split_on_char '\n' (String.trim text));
+  (* Golden behaviour pins, recorded from the reference implementation:
+     the simulated part of the exposition, and the health alert stream of
+     the same run under an injected LIFO-ties fault. *)
+  Alcotest.(check string) "golden exposition digest"
+    "489cee5dd30da1f81142fa3ac04a3e0d"
+    (digest (simulated_exposition text));
+  let alerts_file = Filename.temp_file "qvisor-golden" ".ndjson" in
+  let oc = open_out alerts_file in
+  (match
+     Experiments.Fig4.run ~telemetry:(Engine.Telemetry.create ()) ~slo:true
+       ~alerts:oc
+       {
+         params with
+         Experiments.Fig4.inject_qdisc =
+           Some (Conformance.Fault.qdisc Conformance.Fault.Lifo_ties);
+       }
+       (Experiments.Fig4.Qvisor_policy "pfabric >> edf")
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Qvisor.Error.to_string e));
+  close_out oc;
+  let alerts = In_channel.with_open_bin alerts_file In_channel.input_all in
+  Sys.remove alerts_file;
+  Alcotest.(check string) "golden lifo-ties alert stream digest"
+    "cc6ca4072d654db28007230f33e451c4" (digest alerts)
 
 (* Label values are untrusted (tenant names arrive over the control
    socket): the escaping of backslash / double-quote / newline must hold

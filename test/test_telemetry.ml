@@ -46,7 +46,6 @@ let test_disabled_registry () =
     (Tel.Counter.value (Tel.counter tel "x"));
   Tel.Gauge.set (Tel.gauge tel "g") 9.;
   Tel.Histogram.observe (Tel.histogram tel "h") 1.;
-  Tel.Series.record (Tel.series tel "s") ~time:0.1 1.;
   (* Sinks refuse to attach; events are dropped silently. *)
   let path = Filename.temp_file "qvisor_tel" ".ndjson" in
   Fun.protect
@@ -102,7 +101,6 @@ let test_snapshot_round_trips () =
   let h = Tel.histogram tel "h" in
   List.iter (Tel.Histogram.observe h) [ 1.0; 2.0; 3.0 ];
   ignore (Tel.histogram tel "h_empty");
-  Tel.Series.record (Tel.series tel ~bucket:1.0 "s") ~time:0.5 4.;
   (* The snapshot must serialize (empty-histogram moments are NaN and the
      serializer rejects NaN, so they have to come out as null) and parse
      back to the same values. *)
@@ -115,9 +113,7 @@ let test_snapshot_round_trips () =
     Alcotest.(check (option int)) "hist count" (Some 3)
       (Engine.Json.to_int (member [ "histograms"; "h"; "count" ] snap));
     Alcotest.(check bool) "empty hist mean is null" true
-      (member [ "histograms"; "h_empty"; "mean" ] snap = Engine.Json.Null);
-    Alcotest.(check bool) "series recorded" true
-      (member [ "series"; "s"; "total" ] snap = Engine.Json.Number 4.)
+      (member [ "histograms"; "h_empty"; "mean" ] snap = Engine.Json.Null)
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink                                                         *)
@@ -279,8 +275,6 @@ let test_merge_combines_metrics () =
   Tel.Gauge.set (Tel.gauge b "g") 9.;
   List.iter (Tel.Histogram.observe (Tel.histogram a "h")) [ 1.; 2. ];
   List.iter (Tel.Histogram.observe (Tel.histogram b "h")) [ 3.; 4. ];
-  Tel.Series.record (Tel.series a "s") ~time:0.1 1.;
-  Tel.Series.record (Tel.series b "s") ~time:0.1 2.;
   Tel.merge_into ~into:a b;
   Alcotest.(check int) "counters add" 5 (Tel.Counter.value (Tel.counter a "c"));
   Alcotest.(check int) "src-only counter lands" 1
