@@ -29,9 +29,9 @@
    6. Profiling overhead — Engine.Recorder and Engine.Span micro costs
       (armed vs disabled), the end-to-end events/sec cost of arming
       every port's flight recorder on a quick Fig. 4 point (< 10% by
-      design), the Engine.Perf telemetry layer's overhead on the same
-      point (also < 10%), and the span breakdown of a quick run (the
-      source of results_profile.txt).
+      design), the telemetry registry's and the Engine.Perf layer's
+      overhead on the same point with the SLO audit on, and the span
+      breakdown of a quick run (the source of results_profile.txt).
 
    Run everything:        dune exec bench/main.exe
    Only micro-benches:    dune exec bench/main.exe -- micro
@@ -594,28 +594,64 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           Qvisor.Preprocessor.process pre packet
         done)
   in
+  (* Float arguments for the entries below come pre-boxed: a [float ref]
+     hands its boxed float to an out-of-line call as is, whereas a float
+     computed in the loop is boxed for the call, and that box would be
+     charged to the callee's alloc B/op.  Loops cycle through the 1024
+     cells with [i land 1023]. *)
+  let boxed f = Array.init 1024 (fun i -> ref (f i)) in
   (* The armed flight-recorder ring: its alloc B/op column documents the
      zero-allocation steady state the forensics PR promised. *)
   let bench_recorder () =
     let recorder = Engine.Recorder.create () in
+    let times = boxed float_of_int in
     bench "recorder/record" (fun n ->
         for i = 1 to n do
-          Engine.Recorder.record recorder ~time:(float_of_int i)
+          Engine.Recorder.record recorder ~time:!(times.(i land 1023))
             ~kind:Engine.Recorder.Enqueue ~uid:i ~link:2 ~tenant:0 ~flow:3
             ~rank_before:(-1) ~rank:42
         done)
   in
   (* The retention store's hot path: one observation folded into every
-     tier.  Its alloc B/op column documents the allocation-free ingest
-     the /query PR promised. *)
+     tier.  Its alloc B/op column documents the store's allocation-free
+     ingest.  The clock advances 1.024 s per 1024 observations, the
+     bucket turnover of one observation per simulated millisecond;
+     re-boxing it costs the loop 16 B per 1024 ops. *)
   let bench_tsdb () =
     let store = Engine.Tsdb.create () in
     let s = Engine.Tsdb.series store ~kind:Engine.Tsdb.Gauge "bench.gauge" in
-    let t = ref 0. in
+    (* Opaque, so the ref stays a heap cell holding a boxed float
+       instead of becoming an unboxed local. *)
+    let clock = Sys.opaque_identity (ref 0.) in
+    let values = boxed float_of_int in
     bench "tsdb/observe" (fun n ->
         for i = 1 to n do
-          t := !t +. 0.001;
-          Engine.Tsdb.observe store s ~time:!t (float_of_int i)
+          if i land 1023 = 0 then clock := !clock +. 1.024;
+          Engine.Tsdb.observe store s ~time:!clock !(values.(i land 1023))
+        done)
+  in
+  (* The per-hop instruments: one P² sketch update, and one histogram
+     observation (moments plus three sketches), fed delay-like samples. *)
+  let samples () =
+    let rng = Engine.Rng.create ~seed:11 in
+    boxed (fun _ -> 1e-6 *. Engine.Rng.float rng)
+  in
+  let bench_p2 () =
+    let sketch = Engine.P2_quantile.create ~q:0.99 in
+    let xs = samples () in
+    bench "p2/add" (fun n ->
+        for i = 1 to n do
+          Engine.P2_quantile.add sketch !(xs.(i land 1023))
+        done)
+  in
+  let bench_histogram () =
+    let h =
+      Engine.Telemetry.histogram (Engine.Telemetry.create ()) "bench.histogram"
+    in
+    let xs = samples () in
+    bench "telemetry/histogram-observe" (fun n ->
+        for i = 1 to n do
+          Engine.Telemetry.Histogram.observe h !(xs.(i land 1023))
         done)
   in
   let entries =
@@ -629,6 +665,8 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_preprocessor ();
       bench_recorder ();
       bench_tsdb ();
+      bench_p2 ();
+      bench_histogram ();
     ]
   in
   List.iter
@@ -728,26 +766,43 @@ let run_profile () =
     "fig4 quick point: slo audit %.3g events/s (%.1f%% over the \
      recorder-armed rate it builds on)@."
     rate_slo slo_overhead;
-  (* The Engine.Perf layer (stage meters + GC sampling + pause monitor),
-     armed by an enabled telemetry registry.  Both sides run the same
-     telemetry+SLO configuration so the only delta is the perf
+  (* Two layers on the SLO-audited point, from one interleaved loop.
+     The telemetry registry (per-port and per-tenant counters, the depth,
+     sojourn and rank-error histograms): registry on vs disabled, both
+     without perf meters.  The Engine.Perf layer (stage meters + GC
+     sampling + pause monitor), armed by an enabled registry: perf on vs
+     off with the registry on both sides, so the only delta is the perf
      instrumentation itself; it is designed to stay under 10%. *)
-  let rate_perf ~perf () =
-    let tel = Engine.Telemetry.create () in
+  let rate_perf ~telemetry ~perf () =
+    let tel =
+      if telemetry then Engine.Telemetry.create ()
+      else Engine.Telemetry.disabled
+    in
     match Experiments.Fig4.run ~telemetry:tel ~slo:true ~perf params scheme with
     | Error e -> failwith (Qvisor.Error.to_string e)
     | Ok r ->
       float_of_int r.Experiments.Fig4.events_fired
       /. r.Experiments.Fig4.wall_seconds
   in
-  ignore (rate_perf ~perf:false ());
+  ignore (rate_perf ~telemetry:true ~perf:false ());
+  let rate_tel_off = ref 0. in
   let rate_perf_off = ref 0. and rate_perf_on = ref 0. in
   for _ = 1 to 8 do
-    rate_perf_off := Float.max !rate_perf_off (rate_perf ~perf:false ());
-    rate_perf_on := Float.max !rate_perf_on (rate_perf ~perf:true ())
+    rate_tel_off :=
+      Float.max !rate_tel_off (rate_perf ~telemetry:false ~perf:false ());
+    rate_perf_off :=
+      Float.max !rate_perf_off (rate_perf ~telemetry:true ~perf:false ());
+    rate_perf_on :=
+      Float.max !rate_perf_on (rate_perf ~telemetry:true ~perf:true ())
   done;
+  let rate_tel_off = !rate_tel_off in
   let rate_perf_off = !rate_perf_off and rate_perf_on = !rate_perf_on in
+  let tel_overhead = 100. *. (1. -. (rate_perf_off /. rate_tel_off)) in
   let perf_overhead = 100. *. (1. -. (rate_perf_on /. rate_perf_off)) in
+  Format.printf
+    "fig4 quick point: telemetry off %.3g events/s, on %.3g events/s \
+     (overhead %.1f%%)@."
+    rate_tel_off rate_perf_off tel_overhead;
   Format.printf
     "fig4 quick point: perf telemetry off %.3g events/s, on %.3g events/s \
      (overhead %.1f%%)@."
@@ -839,6 +894,13 @@ let run_profile () =
              ] );
          ("recorder_overhead_pct", Engine.Json.Number overhead);
          ("slo_overhead_pct", Engine.Json.Number slo_overhead);
+         ( "telemetry_events_per_sec",
+           Engine.Json.Obj
+             [
+               ("off", Engine.Json.Number rate_tel_off);
+               ("on", Engine.Json.Number rate_perf_off);
+             ] );
+         ("telemetry_overhead_pct", Engine.Json.Number tel_overhead);
          ( "perf_telemetry_events_per_sec",
            Engine.Json.Obj
              [

@@ -12,6 +12,9 @@ val create : q:float -> t
     @raise Invalid_argument otherwise. *)
 
 val add : t -> float -> unit
+(** Fold one observation into the sketch.  Allocates nothing, apart from
+    the one-off sort of the first five samples on the fifth call, so it
+    can sit on a per-packet path. *)
 
 val count : t -> int
 

@@ -17,8 +17,12 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  (* Count, Welford mean, sum, min and max sit in one unboxed float array
+     (a mixed record like [Stats.t] boxes every float store), so
+     [observe] allocates nothing.  The updates are [Stats.add]'s and the
+     merge is [Stats.merge_into]'s, operation for operation. *)
   type t = {
-    stats : Stats.t;
+    m : float array; (* count, mean, sum, min, max *)
     p50 : P2_quantile.t;
     p90 : P2_quantile.t;
     p99 : P2_quantile.t;
@@ -26,23 +30,40 @@ module Histogram = struct
 
   let make () =
     {
-      stats = Stats.create ~keep_samples:false ();
+      m = [| 0.; 0.; 0.; nan; nan |];
       p50 = P2_quantile.create ~q:0.5;
       p90 = P2_quantile.create ~q:0.9;
       p99 = P2_quantile.create ~q:0.99;
     }
 
   let observe t x =
-    Stats.add t.stats x;
+    let m = t.m in
+    let n = m.(0) +. 1. in
+    m.(0) <- n;
+    let mean = m.(1) in
+    m.(1) <- mean +. ((x -. mean) /. n);
+    m.(2) <- m.(2) +. x;
+    if n = 1. then begin
+      m.(3) <- x;
+      m.(4) <- x
+    end
+    else begin
+      if x < m.(3) then m.(3) <- x;
+      if x > m.(4) then m.(4) <- x
+    end;
     P2_quantile.add t.p50 x;
     P2_quantile.add t.p90 x;
     P2_quantile.add t.p99 x
 
-  let count t = Stats.count t.stats
+  let count t = int_of_float t.m.(0)
 
-  let mean t = Stats.mean t.stats
+  let mean t = if t.m.(0) = 0. then nan else t.m.(1)
 
-  let sum t = Stats.sum t.stats
+  let sum t = t.m.(2)
+
+  let min t = t.m.(3)
+
+  let max t = t.m.(4)
 
   let quantile t q =
     let sketch =
@@ -57,6 +78,21 @@ module Histogram = struct
              q)
     in
     P2_quantile.estimate sketch
+
+  let merge_into ~into src =
+    let d = into.m and s = src.m in
+    if s.(0) > 0. then begin
+      let n0 = d.(0) and n1 = s.(0) in
+      let n = n0 +. n1 in
+      d.(1) <- ((d.(1) *. n0) +. (s.(1) *. n1)) /. n;
+      d.(0) <- n;
+      d.(2) <- d.(2) +. s.(2);
+      d.(3) <- (if Float.is_nan d.(3) then s.(3) else Float.min d.(3) s.(3));
+      d.(4) <- (if Float.is_nan d.(4) then s.(4) else Float.max d.(4) s.(4))
+    end;
+    P2_quantile.merge_into ~into:into.p50 src.p50;
+    P2_quantile.merge_into ~into:into.p90 src.p90;
+    P2_quantile.merge_into ~into:into.p99 src.p99
 end
 
 type sink = {
@@ -191,12 +227,7 @@ let merge_into ~into src =
       (fun (name, (g : Gauge.t)) -> Gauge.set (gauge into name) g.v)
       (sorted_bindings src.gauges);
     List.iter
-      (fun (name, (h : Histogram.t)) ->
-        let dst = histogram into name in
-        Stats.merge_into ~into:dst.Histogram.stats h.Histogram.stats;
-        P2_quantile.merge_into ~into:dst.Histogram.p50 h.Histogram.p50;
-        P2_quantile.merge_into ~into:dst.Histogram.p90 h.Histogram.p90;
-        P2_quantile.merge_into ~into:dst.Histogram.p99 h.Histogram.p99)
+      (fun (name, h) -> Histogram.merge_into ~into:(histogram into name) h)
       (sorted_bindings src.histograms);
     match (into.sink, src.sink) with
     | Some d, Some s ->
@@ -239,11 +270,11 @@ let snapshot t =
     sorted_fields t.histograms (fun (h : Histogram.t) ->
         Json.Obj
           [
-            ("count", Json.Number (float_of_int (Stats.count h.stats)));
-            ("mean", num_or_null (Stats.mean h.stats));
-            ("min", num_or_null (Stats.min h.stats));
-            ("max", num_or_null (Stats.max h.stats));
-            ("sum", num_or_null (Stats.sum h.stats));
+            ("count", Json.Number (float_of_int (Histogram.count h)));
+            ("mean", num_or_null (Histogram.mean h));
+            ("min", num_or_null (Histogram.min h));
+            ("max", num_or_null (Histogram.max h));
+            ("sum", num_or_null (Histogram.sum h));
             ("p50", num_or_null (P2_quantile.estimate h.p50));
             ("p90", num_or_null (P2_quantile.estimate h.p90));
             ("p99", num_or_null (P2_quantile.estimate h.p99));

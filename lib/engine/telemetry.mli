@@ -12,7 +12,8 @@
     - {b counters} — monotone event counts (enqueues, drops, table hits);
     - {b gauges} — last-written values (events fired, wall-clock seconds);
     - {b histograms} — constant-memory distributions: Welford moments
-      ({!Stats}) plus P² sketches ({!P2_quantile}) for p50/p90/p99.
+      (as {!Stats} computes them) plus P² sketches ({!P2_quantile}) for
+      p50/p90/p99.
 
     Orthogonally, a registry may carry one {e trace sink}: an NDJSON
     [out_channel] receiving one JSON object per sampled packet-level event
@@ -44,6 +45,11 @@ module Histogram : sig
   type t
 
   val observe : t -> float -> unit
+  (** Fold one observation into the moments and the three sketches.
+      Allocates nothing (the moments live in an unboxed float array, and
+      {!P2_quantile.add} is allocation-free); a caller that computes the
+      float just for the call still boxes it, unless the call is inlined. *)
+
   val count : t -> int
   val mean : t -> float
   (** [nan] when empty, like {!Stats.mean}. *)
@@ -127,7 +133,7 @@ val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds every metric of [src] into [into]:
     counters add, gauges take [src]'s value (last-write-wins, matching a
     serial run where [src]'s work executed later), histograms combine
-    moments via {!Stats.merge_into} and quantile sketches via
+    moments pairwise as {!Stats.merge_into} does and quantile sketches via
     {!P2_quantile.merge_into}, and trace seen/written counts add when
     both registries carry a sink.  The merge is deterministic: merging
     the same registries in the same order always produces the same

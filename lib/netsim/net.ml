@@ -33,7 +33,8 @@ module Tel = Engine.Telemetry
 module Perf = Engine.Perf
 
 (* Per-tenant counter triple, created lazily the first time a tenant's
-   packet crosses the fabric. *)
+   packet crosses the fabric (so a tenant that never sends exports no
+   counters). *)
 type tenant_counters = {
   t_enq : Tel.Counter.t;
   t_deq : Tel.Counter.t;
@@ -51,7 +52,10 @@ type instruments = {
   tie_total : Tel.Counter.t;
   depth : Tel.Histogram.t; (* queue length (pkts) sampled after enqueue *)
   sojourn : Tel.Histogram.t; (* seconds from enqueue to start-of-tx *)
-  by_tenant : (int, tenant_counters) Hashtbl.t;
+  (* Dense by tenant id, like Slo's and Guard's tables: every enqueue,
+     dequeue and drop looks its tenant up, and an array probe into
+     preallocated option cells allocates nothing.  Grown on demand. *)
+  mutable by_tenant : tenant_counters option array;
 }
 
 type flight_config = {
@@ -126,23 +130,38 @@ let make_instruments tel ~num_ports =
     tie_total = Tel.counter tel "net.tie_inversions";
     depth = Tel.histogram tel "net.queue_depth_pkts";
     sojourn = Tel.histogram tel "net.sojourn_seconds";
-    by_tenant = Hashtbl.create 8;
+    by_tenant = [||];
   }
 
+(* The registry interns by name, so re-creating a triple yields the same
+   counters: negative ids (no workload uses one) are not cached and pay
+   the lookup by name on every packet. *)
+let new_tenant_counters ins id =
+  let name what = Printf.sprintf "net.tenant.%d.%s" id what in
+  let c =
+    {
+      t_enq = Tel.counter ins.tel (name "enqueue");
+      t_deq = Tel.counter ins.tel (name "dequeue");
+      t_drop = Tel.counter ins.tel (name "drop");
+    }
+  in
+  if id >= 0 then begin
+    let n = Array.length ins.by_tenant in
+    if id >= n then begin
+      let grown = Array.make (max (2 * n) (id + 1)) None in
+      Array.blit ins.by_tenant 0 grown 0 n;
+      ins.by_tenant <- grown
+    end;
+    ins.by_tenant.(id) <- Some c
+  end;
+  c
+
 let tenant_counters ins id =
-  match Hashtbl.find_opt ins.by_tenant id with
-  | Some c -> c
-  | None ->
-    let name what = Printf.sprintf "net.tenant.%d.%s" id what in
-    let c =
-      {
-        t_enq = Tel.counter ins.tel (name "enqueue");
-        t_deq = Tel.counter ins.tel (name "dequeue");
-        t_drop = Tel.counter ins.tel (name "drop");
-      }
-    in
-    Hashtbl.add ins.by_tenant id c;
-    c
+  if id >= 0 && id < Array.length ins.by_tenant then
+    match Array.unsafe_get ins.by_tenant id with
+    | Some c -> c
+    | None -> new_tenant_counters ins id
+  else new_tenant_counters ins id
 
 let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
     ?preprocess ?(on_enqueue = fun _ -> ()) ?(on_dequeue = fun _ -> ())

@@ -1,26 +1,15 @@
-type observation = {
-  mutable seen : bool;
-  mutable min_rank : int;
-  mutable max_rank : int;
-  p50 : Engine.P2_quantile.t;
-  p99 : Engine.P2_quantile.t;
-}
-
-let fresh_observation () =
-  {
-    seen = false;
-    min_rank = 0;
-    max_rank = 0;
-    p50 = Engine.P2_quantile.create ~q:0.5;
-    p99 = Engine.P2_quantile.create ~q:0.99;
-  }
+(* Raw rank range a tenant has emitted since the last [refresh]. *)
+type observation = { mutable min_rank : int; mutable max_rank : int }
 
 type t = {
   mutable config : Synthesizer.config;
   mutable tenants : Tenant.t list;
   mutable policy : Policy.t;
   pre : Preprocessor.t;
-  observations : (int, observation) Hashtbl.t;
+  (* Dense by tenant id, like the pre-processor's counts: [observe] runs
+     on every hop.  Negative ids fall back to the side table. *)
+  mutable observed : observation option array;
+  observed_neg : (int, observation) Hashtbl.t;
   mutable resyntheses : int;
   tel : Engine.Telemetry.t;
   clock : unit -> float;
@@ -42,7 +31,8 @@ let create ?(config = Synthesizer.default_config)
         tenants;
         policy;
         pre = Preprocessor.of_plan ~telemetry plan;
-        observations = Hashtbl.create 16;
+        observed = Array.make 16 None;
+        observed_neg = Hashtbl.create 1;
         resyntheses = 0;
         tel = telemetry;
         clock;
@@ -55,28 +45,29 @@ let create_exn ?config ?telemetry ?clock ~tenants ~policy () =
   | Ok t -> t
   | Error e -> invalid_arg ("Runtime.create: " ^ Error.to_string e)
 
+let observation t id =
+  if id >= 0 && id < Array.length t.observed then Array.unsafe_get t.observed id
+  else if id < 0 then Hashtbl.find_opt t.observed_neg id
+  else None
+
 let observe t (p : Sched.Packet.t) =
-  let id = p.Sched.Packet.tenant in
-  let obs =
-    match Hashtbl.find_opt t.observations id with
-    | Some o -> o
-    | None ->
-      let o = fresh_observation () in
-      Hashtbl.add t.observations id o;
-      o
-  in
-  let r = p.Sched.Packet.label in
-  if obs.seen then begin
-    if r < obs.min_rank then obs.min_rank <- r;
-    if r > obs.max_rank then obs.max_rank <- r
-  end
-  else begin
-    obs.seen <- true;
-    obs.min_rank <- r;
-    obs.max_rank <- r
-  end;
-  Engine.P2_quantile.add obs.p50 (float_of_int r);
-  Engine.P2_quantile.add obs.p99 (float_of_int r)
+  let id = p.Sched.Packet.tenant and r = p.Sched.Packet.label in
+  match observation t id with
+  | Some o ->
+    if r < o.min_rank then o.min_rank <- r;
+    if r > o.max_rank then o.max_rank <- r
+  | None ->
+    let o = { min_rank = r; max_rank = r } in
+    if id < 0 then Hashtbl.replace t.observed_neg id o
+    else begin
+      let n = Array.length t.observed in
+      if id >= n then begin
+        let grown = Array.make (max (2 * n) (id + 1)) None in
+        Array.blit t.observed 0 grown 0 n;
+        t.observed <- grown
+      end;
+      t.observed.(id) <- Some o
+    end
 
 let process t p =
   observe t p;
@@ -89,9 +80,12 @@ let plan t = Preprocessor.plan t.pre
 let resyntheses t = t.resyntheses
 
 let observed_range t ~tenant_id =
-  match Hashtbl.find_opt t.observations tenant_id with
-  | Some o when o.seen -> Some (o.min_rank, o.max_rank)
-  | Some _ | None -> None
+  Option.map (fun o -> (o.min_rank, o.max_rank)) (observation t tenant_id)
+
+let forget t ~tenant_id =
+  if tenant_id >= 0 && tenant_id < Array.length t.observed then
+    t.observed.(tenant_id) <- None
+  else if tenant_id < 0 then Hashtbl.remove t.observed_neg tenant_id
 
 let redeploy t tenants policy =
   match synthesize_now t.config tenants policy with
@@ -130,7 +124,7 @@ let remove_tenant t ~tenant_id ?policy () =
   else begin
     let tenants = List.filter (fun x -> x.Tenant.id <> tenant_id) t.tenants in
     let policy = Option.value policy ~default:t.policy in
-    Hashtbl.remove t.observations tenant_id;
+    forget t ~tenant_id;
     redeploy t tenants policy
   end
 
@@ -167,5 +161,6 @@ let refresh t =
   match redeploy t tenants t.policy with
   | Error _ as e -> e
   | Ok () ->
-    Hashtbl.reset t.observations;
+    Array.fill t.observed 0 (Array.length t.observed) None;
+    Hashtbl.reset t.observed_neg;
     Ok ()

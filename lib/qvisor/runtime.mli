@@ -1,10 +1,11 @@
 (** The runtime controller (the paper's Idea 2, online flavour).
 
     An event-driven controller in the spirit of the paper's SDN analogy:
-    it observes the raw ranks each tenant actually emits (constant-memory
-    quantile sketches), supports tenants joining and leaving at runtime,
-    and re-synthesizes + hot-swaps the pre-processor's plan when the
-    population or the observed distributions change. *)
+    it observes the raw rank range each tenant actually emits (two ints
+    per tenant, updated allocation-free on every hop), supports tenants
+    joining and leaving at runtime, and re-synthesizes + hot-swaps the
+    pre-processor's plan when the population or the observed ranges
+    change. *)
 
 type t
 
@@ -37,9 +38,9 @@ val create_exn :
 (** @raise Invalid_argument if the initial synthesis fails. *)
 
 val process : t -> Sched.Packet.t -> unit
-(** The line-rate path: observe the packet's rank label for its tenant's
-    sketch, then apply the current transformation.  Install this as the
-    fabric's [preprocess] hook. *)
+(** The line-rate path: fold the packet's rank label into its tenant's
+    observed range, then apply the current transformation.  Install this
+    as the fabric's [preprocess] hook. *)
 
 val observe : t -> Sched.Packet.t -> unit
 (** Only the observation half of {!process} — for callers that route the

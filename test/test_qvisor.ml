@@ -763,7 +763,17 @@ let test_runtime_process_observes () =
     (fun rank -> Qvisor.Runtime.process rt (mk_packet ~tenant:1 ~rank))
     [ 500; 100; 900 ];
   Alcotest.(check (option (pair int int))) "raw range observed" (Some (100, 900))
-    (Qvisor.Runtime.observed_range rt ~tenant_id:1)
+    (Qvisor.Runtime.observed_range rt ~tenant_id:1);
+  (* Ids past the dense table's initial size, and negative ones. *)
+  List.iter
+    (fun (tenant, rank) -> Qvisor.Runtime.process rt (mk_packet ~tenant ~rank))
+    [ (40, 7); (-2, 9); (40, 3) ];
+  Alcotest.(check (option (pair int int))) "grown id observed" (Some (3, 7))
+    (Qvisor.Runtime.observed_range rt ~tenant_id:40);
+  Alcotest.(check (option (pair int int))) "negative id observed" (Some (9, 9))
+    (Qvisor.Runtime.observed_range rt ~tenant_id:(-2));
+  Alcotest.(check (option (pair int int))) "unseen id" None
+    (Qvisor.Runtime.observed_range rt ~tenant_id:39)
 
 let test_runtime_tenant_churn () =
   let rt =
@@ -803,6 +813,8 @@ let test_runtime_refresh_tightens () =
     Qvisor.Runtime.process rt (mk_packet ~tenant:1 ~rank)
   done;
   Qvisor.Runtime.process rt (mk_packet ~tenant:2 ~rank:50);
+  Qvisor.Runtime.process rt (mk_packet ~tenant:40 ~rank:5);
+  Qvisor.Runtime.process rt (mk_packet ~tenant:(-2) ~rank:5);
   (match Qvisor.Runtime.refresh rt with
   | Ok () -> ()
   | Error e -> Alcotest.failf "refresh failed: %s" (Qvisor.Error.to_string e));
@@ -816,9 +828,12 @@ let test_runtime_refresh_tightens () =
     a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.rank_lo;
   Alcotest.(check int) "observed hi adopted" 10
     a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.rank_hi;
-  (* Observation window reset. *)
-  Alcotest.(check (option (pair int int))) "window reset" None
-    (Qvisor.Runtime.observed_range rt ~tenant_id:1)
+  (* Observation window reset, for every id. *)
+  List.iter
+    (fun tenant_id ->
+      Alcotest.(check (option (pair int int))) "window reset" None
+        (Qvisor.Runtime.observed_range rt ~tenant_id))
+    [ 1; 2; 40; -2 ]
 
 let test_runtime_swap_preserves_isolation () =
   (* After a swap, packets processed through the runtime still respect the

@@ -1,8 +1,10 @@
 (* Tests for Engine.Telemetry: registry semantics (interning,
    accumulation, the disabled no-op registry), the snapshot JSON export,
    the sampled NDJSON trace sink (determinism under a fixed seed, line
-   round-trips), and an end-to-end check that an instrumented network +
-   pre-processor populate the metric names the docs promise. *)
+   round-trips), an end-to-end check that an instrumented network +
+   pre-processor populate the metric names the docs promise, and the
+   allocation-free P² sketch and histogram checked bit for bit against
+   the reference implementation. *)
 
 module Tel = Engine.Telemetry
 
@@ -192,8 +194,9 @@ let test_sink_ndjson_round_trip () =
 
 let test_instrumented_net_counters () =
   let tel = Tel.create () in
-  (* Two hosts, one switch, FIFO ports of capacity 1: a 5-packet burst
-     from tenant 3 forces drops (cf. the netsim drop-counting test). *)
+  (* Two hosts, one switch, FIFO ports of capacity 1: 5-packet bursts
+     force drops (cf. the netsim drop-counting test).  Tenant 40 grows
+     the dense per-tenant table; -2 takes the path outside it. *)
   let topo = Netsim.Topology.create ~num_hosts:2 ~num_switches:1 in
   ignore (Netsim.Topology.add_duplex topo ~a:0 ~b:2 ~rate:1e9 ~delay:1e-6);
   ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay:1e-6);
@@ -207,20 +210,37 @@ let test_instrumented_net_counters () =
       ~deliver:(fun _ -> incr delivered)
       ()
   in
+  let tenants = [ 3; 40; -2 ] in
   for _ = 1 to 5 do
-    Netsim.Net.inject net
-      (Sched.Packet.make ~src:0 ~dst:1 ~tenant:3 ~flow:1 ~size:1250 ())
+    List.iter
+      (fun tenant ->
+        Netsim.Net.inject net
+          (Sched.Packet.make ~src:0 ~dst:1 ~tenant ~flow:1 ~size:1250 ()))
+      tenants
   done;
   Engine.Sim.run sim;
   let v name = Tel.Counter.value (Tel.counter tel name) in
+  let per_tenant what =
+    List.fold_left
+      (fun acc id -> acc + v (Printf.sprintf "net.tenant.%d.%s" id what))
+      0 tenants
+  in
   Alcotest.(check int) "drop counter matches qdiscs"
     (Netsim.Net.total_drops net) (v "net.drop");
-  Alcotest.(check int) "per-tenant drops" (v "net.drop") (v "net.tenant.3.drop");
+  Alcotest.(check int) "per-tenant drops" (v "net.drop") (per_tenant "drop");
+  Alcotest.(check int) "per-tenant enqueues" (v "net.enqueue")
+    (per_tenant "enqueue");
   (* Everything drained, so offered = transmitted + dropped. *)
   Alcotest.(check int) "enq = deq + drop" (v "net.enqueue")
     (v "net.dequeue" + v "net.drop");
-  Alcotest.(check int) "tenant enq = deq + drop" (v "net.tenant.3.enqueue")
-    (v "net.tenant.3.dequeue" + v "net.tenant.3.drop");
+  List.iter
+    (fun id ->
+      let name what = Printf.sprintf "net.tenant.%d.%s" id what in
+      Alcotest.(check int)
+        (Printf.sprintf "tenant %d enq = deq + drop" id)
+        (v (name "enqueue"))
+        (v (name "dequeue") + v (name "drop")))
+    tenants;
   let sojourn = Tel.histogram tel "net.sojourn_seconds" in
   Alcotest.(check int) "one sojourn per dequeue" (v "net.dequeue")
     (Tel.Histogram.count sojourn);
@@ -315,7 +335,196 @@ let test_merge_disabled_noop () =
   Alcotest.(check int) "disabled into untouched" 0
     (Tel.Counter.value (Tel.counter Tel.disabled "c"))
 
+(* ------------------------------------------------------------------ *)
+(* Flat instruments vs the reference implementation                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [P2_oracle] is the original boxed-float P² sketch, kept verbatim as
+   the reference: the flat, allocation-free rewrite and the histogram
+   built on it must agree with it, and with [Stats], to the last bit. *)
+
+let same a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+(* Streams of 0-3000 values assembled from runs that stress the marker
+   logic: independent draws, duplicates from a three-value pool, constant
+   runs, and ascending and descending runs, at magnitudes 1e-9 to 1e3. *)
+let gen_stream =
+  let open QCheck.Gen in
+  let value =
+    let* m = float_range 1. 10. in
+    let* e = int_range (-9) 2 in
+    return (m *. (10. ** float_of_int e))
+  in
+  let run =
+    let* len = int_range 1 300 in
+    let* a = value in
+    let* b = value in
+    let lo = Float.min a b and hi = Float.max a b in
+    let ramp f =
+      return (List.init len (fun i -> f (float_of_int i /. float_of_int len)))
+    in
+    oneof
+      [
+        list_repeat len value;
+        (let* pool = list_repeat 3 value in
+         list_repeat len (oneofl pool));
+        return (List.init len (fun _ -> a));
+        ramp (fun r -> lo +. ((hi -. lo) *. r));
+        ramp (fun r -> hi -. ((hi -. lo) *. r));
+      ]
+  in
+  let* short = bool in
+  if short then list_size (int_range 0 12) value
+  else
+    let* runs = list_size (int_range 1 30) run in
+    return (List.filteri (fun i _ -> i < 3000) (List.concat runs))
+
+let arb_streams =
+  QCheck.make
+    ~print:(fun (q, xs, ys) ->
+      Printf.sprintf "q=%g xs=[%s] ys=[%s]" q
+        (String.concat "; " (List.map (Printf.sprintf "%h") xs))
+        (String.concat "; " (List.map (Printf.sprintf "%h") ys)))
+    QCheck.Gen.(triple (oneofl [ 0.25; 0.5; 0.9; 0.99 ]) gen_stream gen_stream)
+
+let prop_p2_matches_reference =
+  QCheck.Test.make ~name:"p2 matches reference bit for bit" ~count:200
+    arb_streams (fun (q, xs, ys) ->
+      let module P = Engine.P2_quantile in
+      let agree a o =
+        P.count a = P2_oracle.count o
+        && same (P.estimate a) (P2_oracle.estimate o)
+      in
+      let feed a o x =
+        P.add a x;
+        P2_oracle.add o x;
+        agree a o
+      in
+      let a = P.create ~q and o = P2_oracle.create ~q in
+      (* After a merge, more observations must still agree: every marker
+         height and position is then equal, not only the estimate. *)
+      let merged into into_o =
+        P.merge_into ~into a;
+        P2_oracle.merge_into ~into:into_o o;
+        agree into into_o && List.for_all (feed into into_o) ys
+      in
+      List.for_all (feed a o) xs
+      && merged (P.create ~q) (P2_oracle.create ~q)
+      &&
+      let b = P.create ~q and b_o = P2_oracle.create ~q in
+      List.for_all (feed b b_o) ys && merged b b_o)
+
+let prop_histogram_matches_reference =
+  QCheck.Test.make
+    ~name:"histogram matches Stats and reference"
+    ~count:200 arb_streams (fun (_, xs, ys) ->
+      let qs = [ 0.5; 0.9; 0.99 ] in
+      let reference () =
+        ( Engine.Stats.create ~keep_samples:false (),
+          List.map (fun q -> P2_oracle.create ~q) qs )
+      in
+      let ref_observe (s, sketches) x =
+        Engine.Stats.add s x;
+        List.iter (fun o -> P2_oracle.add o x) sketches
+      in
+      let ref_merge ~into:(s, sketches) (src, src_sketches) =
+        Engine.Stats.merge_into ~into:s src;
+        List.iter2
+          (fun into o -> P2_oracle.merge_into ~into o)
+          sketches src_sketches
+      in
+      (* Per observation: everything the histogram's accessors expose. *)
+      let live h (s, sketches) =
+        Tel.Histogram.count h = Engine.Stats.count s
+        && same (Tel.Histogram.mean h) (Engine.Stats.mean s)
+        && same (Tel.Histogram.sum h) (Engine.Stats.sum s)
+        && List.for_all2
+             (fun q o -> same (Tel.Histogram.quantile h q) (P2_oracle.estimate o))
+             qs sketches
+      in
+      (* At checkpoints: the snapshot, which adds min and max. *)
+      let snapshot tel =
+        match Tel.snapshot tel with
+        | Engine.Json.Obj fields -> (
+          match List.assoc "histograms" fields with
+          | Engine.Json.Obj [ ("h", Engine.Json.Obj h) ] ->
+            List.map
+              (function
+                | _, Engine.Json.Number x -> x
+                | _, Engine.Json.Null -> nan
+                | k, _ -> Alcotest.failf "histogram field %s not a number" k)
+              h
+          | _ -> Alcotest.fail "expected one histogram")
+        | _ -> Alcotest.fail "snapshot not an object"
+      in
+      let settled tel (s, sketches) =
+        let expected =
+          [
+            float_of_int (Engine.Stats.count s);
+            Engine.Stats.mean s;
+            Engine.Stats.min s;
+            Engine.Stats.max s;
+            Engine.Stats.sum s;
+          ]
+          @ List.map P2_oracle.estimate sketches
+        in
+        List.for_all2 same (snapshot tel) expected
+      in
+      let filled vals =
+        let tel = Tel.create () and r = reference () in
+        let h = Tel.histogram tel "h" in
+        let ok =
+          List.for_all
+            (fun x ->
+              Tel.Histogram.observe h x;
+              ref_observe r x;
+              live h r)
+            vals
+        in
+        (tel, h, r, ok && settled tel r)
+      in
+      let src, _, src_r, ok = filled xs in
+      let merged (into, h, r, ok) =
+        ok
+        && begin
+             Tel.merge_into ~into src;
+             ref_merge ~into:r src_r;
+             settled into r
+           end
+        && List.for_all
+             (fun x ->
+               Tel.Histogram.observe h x;
+               ref_observe r x;
+               live h r)
+             ys
+        && settled into r
+      in
+      ok && merged (filled []) && merged (filled ys))
+
+let test_instruments_allocation_free () =
+  (* Pre-boxed inputs, so only the callee's own allocation is counted. *)
+  let xs = Array.init 1024 (fun i -> ref (float_of_int ((i * 7919) mod 1024) *. 1e-6)) in
+  let sketch = Engine.P2_quantile.create ~q:0.99 in
+  let h = Tel.histogram (Tel.create ()) "h" in
+  (* Past the one-off sort of the first five samples. *)
+  for i = 0 to 4 do
+    Engine.P2_quantile.add sketch !(xs.(i));
+    Tel.Histogram.observe h !(xs.(i))
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f !(xs.(i land 1023))
+    done;
+    Gc.minor_words () -. before
+  in
+  check_float "P2_quantile.add words" 0. (words (Engine.P2_quantile.add sketch));
+  check_float "Histogram.observe words" 0. (words (Tel.Histogram.observe h))
+
 let () =
+  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "telemetry"
     [
       ( "registry",
@@ -351,5 +560,12 @@ let () =
             test_instrumented_net_counters;
           Alcotest.test_case "instrumented preprocessor" `Quick
             test_instrumented_preprocessor;
+        ] );
+      ( "reference",
+        [
+          qc prop_p2_matches_reference;
+          qc prop_histogram_matches_reference;
+          Alcotest.test_case "allocation free" `Quick
+            test_instruments_allocation_free;
         ] );
     ]
