@@ -1,269 +1,42 @@
 (* Benchmark harness.
 
-   Two sections:
+   Five sections:
 
-   1. Bechamel micro-benchmarks — one group per paper artifact: the Fig. 3
-      data-plane path (pre-processor + PIFO), the scheduler substrate the
-      Fig. 4 fabric runs on, and the control-plane synthesizer/policy
-      machinery.  These quantify the "at line rate" and "control plane"
-      claims of §3.2/§3.3.
-
-   2. Figure regeneration — the Fig. 4 sweep (both panels) and the two
+   1. Figure regeneration — the Fig. 4 sweep (both panels) and the two
       ablations at CI scale, printing the same rows/series the paper
       reports.  The full-scale sweep lives in `bin/experiments.exe`.
 
-   3. Parallel scaling — the quick Fig. 4 sweep timed at 1/2/4/8 worker
+   2. Parallel scaling — the quick Fig. 4 sweep timed at 1/2/4/8 worker
       domains, verifying the merged results are identical at every
       worker count (see Engine.Parallel).
 
-   4. Conformance throughput — scenario generation, the ideal-PIFO
+   3. Conformance throughput — scenario generation, the ideal-PIFO
       oracle, and one differential replay pass per backend, reported in
       cases/sec (the cost of `qvisor-cli conformance` per case).
 
-   5. Engine benchmarks — Engine.Perf.Bench repeated-trial runs (PIFO
-      and FIFO churn, the simulator event loop, the pre-processor and
-      the flight recorder) reporting min/median/MAD for both ns/op and
-      allocated bytes/op, written to BENCH_engine.json — the baseline
-      `qvisor-cli bench diff` gates CI against.
+   4. Engine benchmarks — Engine.Perf.Bench repeated-trial runs of every
+      micro cost: the Fig. 3 data-plane path (pre-processor + PIFO) and
+      the other scheduler backends, the simulator event loop, the
+      per-hop instruments (recorder, telemetry, TSDB, spans) armed and
+      disabled, and the control plane (synthesizer, policy parser,
+      rankers, static analysis).  These quantify the "at line rate" and
+      "control plane" claims of §3.2/§3.3.  Each reports min/median/MAD
+      for both ns/op and allocated bytes/op, written to BENCH_engine.json
+      — the baseline `qvisor-cli bench diff` gates CI against.
 
-   6. Profiling overhead — Engine.Recorder and Engine.Span micro costs
-      (armed vs disabled), the end-to-end events/sec cost of arming
+   5. Profiling overhead — the end-to-end events/sec cost of arming
       every port's flight recorder on a quick Fig. 4 point (< 10% by
       design), the telemetry registry's and the Engine.Perf layer's
-      overhead on the same point with the SLO audit on, and the span
-      breakdown of a quick run (the source of results_profile.txt).
+      overhead on the same point with the SLO audit on, the serve-loop
+      snapshot cost, and the span breakdown of a quick run (the source
+      of results_profile.txt).
 
    Run everything:        dune exec bench/main.exe
-   Only micro-benches:    dune exec bench/main.exe -- micro
    Only figures:          dune exec bench/main.exe -- figures
    Only scaling:          dune exec bench/main.exe -- scaling
    Only conformance:      dune exec bench/main.exe -- conformance
    Only engine benches:   dune exec bench/main.exe -- engine [--quick]
    Only profiling:        dune exec bench/main.exe -- profile *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let fig3_plan () =
-  let tenants =
-    [
-      Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:30_000 ~id:0
-        ~name:"T1" ();
-      Qvisor.Tenant.make ~algorithm:"edf" ~rank_lo:0 ~rank_hi:150 ~id:1
-        ~name:"T2" ();
-      Qvisor.Tenant.make ~algorithm:"stfq" ~rank_lo:0 ~rank_hi:4_000 ~id:2
-        ~name:"T3" ();
-    ]
-  in
-  Qvisor.Synthesizer.synthesize_exn ~tenants
-    ~policy:(Qvisor.Policy.parse_exn "T1 >> T2 + T3")
-    ()
-
-let test_preprocessor =
-  let pre = Qvisor.Preprocessor.of_plan (fig3_plan ()) in
-  let packet = Sched.Packet.make ~tenant:1 ~rank:100 ~flow:1 ~size:1500 () in
-  Test.make ~name:"fig3/preprocessor-per-packet"
-    (Staged.stage (fun () ->
-         packet.Sched.Packet.rank <- 100;
-         Qvisor.Preprocessor.process pre packet))
-
-let qdisc_churn_test ~name make =
-  (* Steady-state enqueue+dequeue on a part-full queue. *)
-  let q = make () in
-  let rng = Engine.Rng.create ~seed:7 in
-  for _ = 1 to 64 do
-    ignore
-      (q.Sched.Qdisc.enqueue
-         (Sched.Packet.make
-            ~rank:(Engine.Rng.int_range rng ~lo:0 ~hi:65535)
-            ~flow:1 ~size:1500 ()))
-  done;
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore
-           (q.Sched.Qdisc.enqueue
-              (Sched.Packet.make
-                 ~rank:(Engine.Rng.int_range rng ~lo:0 ~hi:65535)
-                 ~flow:1 ~size:1500 ()));
-         ignore (q.Sched.Qdisc.dequeue ())))
-
-let test_fifo =
-  qdisc_churn_test ~name:"sched/fifo-enq-deq" (fun () ->
-      Sched.Fifo_queue.create ~capacity_pkts:256 ())
-
-let test_pifo =
-  qdisc_churn_test ~name:"fig3/pifo-enq-deq" (fun () ->
-      Sched.Bucket_queue.create ~capacity_pkts:256 ())
-
-let test_pifo_map =
-  qdisc_churn_test ~name:"sched/pifo-map-enq-deq" (fun () ->
-      Sched.Pifo_queue.create ~capacity_pkts:256 ())
-
-let test_sp_pifo =
-  qdisc_churn_test ~name:"sched/sp-pifo-enq-deq" (fun () ->
-      Sched.Sp_pifo.create ~num_queues:8 ~queue_capacity_pkts:256 ())
-
-let test_aifo =
-  qdisc_churn_test ~name:"sched/aifo-enq-deq" (fun () ->
-      Sched.Aifo.create ~capacity_pkts:256 ())
-
-let test_drr =
-  qdisc_churn_test ~name:"sched/drr-enq-deq" (fun () ->
-      Sched.Drr_bank.create ~num_queues:8 ~queue_capacity_pkts:64
-        ~quantum_bytes:1518
-        ~classify:(fun p -> p.Sched.Packet.rank / 8192)
-        ())
-
-let test_calendar =
-  qdisc_churn_test ~name:"sched/calendar-enq-deq" (fun () ->
-      Sched.Calendar_queue.create ~num_buckets:32 ~bucket_width:2048
-        ~capacity_pkts:256 ())
-
-let test_pifo_tree =
-  qdisc_churn_test ~name:"sched/pifo-tree-enq-deq" (fun () ->
-      Sched.Pifo_tree.to_qdisc
-        ~classify:(fun p -> p.Sched.Packet.rank mod 3)
-        ~capacity_pkts:256
-        (Sched.Pifo_tree.strict
-           [
-             Sched.Pifo_tree.leaf ();
-             Sched.Pifo_tree.wfq
-               [ (Sched.Pifo_tree.leaf (), 1.0); (Sched.Pifo_tree.leaf (), 2.0) ];
-           ]))
-
-let test_synthesizer_small =
-  let tenants =
-    [
-      Qvisor.Tenant.make ~rank_hi:30_000 ~id:0 ~name:"pfabric" ();
-      Qvisor.Tenant.make ~rank_hi:150 ~id:1 ~name:"edf" ();
-    ]
-  in
-  let policy = Qvisor.Policy.parse_exn "pfabric >> edf" in
-  Test.make ~name:"synthesizer/2-tenant"
-    (Staged.stage (fun () ->
-         ignore (Qvisor.Synthesizer.synthesize_exn ~tenants ~policy ())))
-
-let test_synthesizer_large =
-  let tenants =
-    List.init 16 (fun i ->
-        Qvisor.Tenant.make ~rank_hi:10_000 ~id:i
-          ~name:(Printf.sprintf "T%d" i) ())
-  in
-  let policy =
-    Qvisor.Policy.parse_exn
-      "T0 >> T1 > T2 + T3 >> T4 + T5 + T6 + T7 >> T8 > T9 > T10 >> T11 + \
-       T12 >> T13 >> T14 + T15"
-  in
-  Test.make ~name:"synthesizer/16-tenant"
-    (Staged.stage (fun () ->
-         ignore (Qvisor.Synthesizer.synthesize_exn ~tenants ~policy ())))
-
-let test_policy_parse =
-  Test.make ~name:"policy/parse"
-    (Staged.stage (fun () ->
-         ignore (Qvisor.Policy.parse_exn "T1 >> T2 > T3 + T4 >> T5")))
-
-let test_ranker_pfabric =
-  let ranker = Sched.Ranker.pfabric () in
-  let p = Sched.Packet.make ~remaining:250_000 ~flow:1 ~size:1500 () in
-  Test.make ~name:"ranker/pfabric-tag"
-    (Staged.stage (fun () -> ignore (Sched.Ranker.tag ranker ~now:0. p)))
-
-let test_ranker_stfq =
-  let ranker = Sched.Ranker.stfq () in
-  let p = Sched.Packet.make ~flow:1 ~size:1500 () in
-  Test.make ~name:"ranker/stfq-tag"
-    (Staged.stage (fun () -> ignore (Sched.Ranker.tag ranker ~now:0. p)))
-
-let test_analysis =
-  let plan = fig3_plan () in
-  Test.make ~name:"analysis/check-plan"
-    (Staged.stage (fun () -> ignore (Qvisor.Analysis.check plan)))
-
-let test_telemetry_counter =
-  let tel = Engine.Telemetry.create () in
-  let c = Engine.Telemetry.counter tel "bench.counter" in
-  Test.make ~name:"telemetry/counter-incr"
-    (Staged.stage (fun () -> Engine.Telemetry.Counter.incr c))
-
-let test_telemetry_counter_disabled =
-  (* The disabled registry hands out inert handles: this measures the
-     cost instrumented code pays when telemetry is off. *)
-  let c = Engine.Telemetry.counter Engine.Telemetry.disabled "bench.counter" in
-  Test.make ~name:"telemetry/counter-incr-disabled"
-    (Staged.stage (fun () -> Engine.Telemetry.Counter.incr c))
-
-let test_telemetry_histogram =
-  let tel = Engine.Telemetry.create () in
-  let h = Engine.Telemetry.histogram tel "bench.histogram" in
-  let x = ref 0. in
-  Test.make ~name:"telemetry/histogram-observe"
-    (Staged.stage (fun () ->
-         x := !x +. 1.;
-         Engine.Telemetry.Histogram.observe h !x))
-
-let test_telemetry_instrumented_preprocessor =
-  (* fig3/preprocessor-per-packet with a live registry attached: the
-     delta against the uninstrumented test is the observability tax. *)
-  let tel = Engine.Telemetry.create () in
-  let pre = Qvisor.Preprocessor.of_plan ~telemetry:tel (fig3_plan ()) in
-  let packet = Sched.Packet.make ~tenant:1 ~rank:100 ~flow:1 ~size:1500 () in
-  Test.make ~name:"telemetry/preprocessor-per-packet"
-    (Staged.stage (fun () ->
-         packet.Sched.Packet.rank <- 100;
-         Qvisor.Preprocessor.process pre packet))
-
-let all_micro =
-  Test.make_grouped ~name:"qvisor"
-    [
-      test_preprocessor;
-      test_pifo;
-      test_pifo_map;
-      test_fifo;
-      test_sp_pifo;
-      test_aifo;
-      test_drr;
-      test_calendar;
-      test_pifo_tree;
-      test_synthesizer_small;
-      test_synthesizer_large;
-      test_policy_parse;
-      test_ranker_pfabric;
-      test_ranker_stfq;
-      test_analysis;
-      test_telemetry_counter;
-      test_telemetry_counter_disabled;
-      test_telemetry_histogram;
-      test_telemetry_instrumented_preprocessor;
-    ]
-
-let run_micro () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances all_micro in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "@[<v>== micro-benchmarks (ns/op, OLS on monotonic clock) ==@,";
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> e
-          | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, ns) -> Format.printf "%-40s %12.1f ns/op@," name ns) rows;
-  Format.printf "@]@."
 
 (* ------------------------------------------------------------------ *)
 (* Figure regeneration (CI scale)                                     *)
@@ -510,9 +283,25 @@ let run_conformance () =
 (* Engine micro-benchmarks (Perf.Bench -> BENCH_engine.json)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Unlike the bechamel section (OLS point estimates, human-oriented),
-   these use Engine.Perf.Bench: repeated trials with min/median/MAD for
-   both ns/op and allocated bytes/op, serialized to the schema that
+(* The paper's Fig. 3 worked example: three tenants under
+   "T1 >> T2 + T3". *)
+let fig3_plan () =
+  let tenants =
+    [
+      Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:30_000 ~id:0
+        ~name:"T1" ();
+      Qvisor.Tenant.make ~algorithm:"edf" ~rank_lo:0 ~rank_hi:150 ~id:1
+        ~name:"T2" ();
+      Qvisor.Tenant.make ~algorithm:"stfq" ~rank_lo:0 ~rank_hi:4_000 ~id:2
+        ~name:"T3" ();
+    ]
+  in
+  Qvisor.Synthesizer.synthesize_exn ~tenants
+    ~policy:(Qvisor.Policy.parse_exn "T1 >> T2 + T3")
+    ()
+
+(* Engine.Perf.Bench: repeated trials with min/median/MAD for both ns/op
+   and allocated bytes/op, serialized to the schema that
    `qvisor-cli bench diff` gates CI on. *)
 let run_engine ~trials ~min_time_s ~out ~mode () =
   Format.printf
@@ -585,14 +374,17 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           remaining := !remaining - k
         done)
   in
-  let bench_preprocessor () =
-    let pre = Qvisor.Preprocessor.of_plan (fig3_plan ()) in
+  let preprocessor_bench name pre =
     let packet = Sched.Packet.make ~tenant:1 ~rank:100 ~flow:1 ~size:1500 () in
-    bench "preprocessor/process" (fun n ->
+    bench name (fun n ->
         for _ = 1 to n do
           packet.Sched.Packet.rank <- 100;
           Qvisor.Preprocessor.process pre packet
         done)
+  in
+  let bench_preprocessor () =
+    preprocessor_bench "preprocessor/process"
+      (Qvisor.Preprocessor.of_plan (fig3_plan ()))
   in
   (* Float arguments for the entries below come pre-boxed: a [float ref]
      hands its boxed float to an out-of-line call as is, whereas a float
@@ -600,17 +392,19 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
      charged to the callee's alloc B/op.  Loops cycle through the 1024
      cells with [i land 1023]. *)
   let boxed f = Array.init 1024 (fun i -> ref (f i)) in
-  (* The armed flight-recorder ring: its alloc B/op column documents the
-     zero-allocation steady state the forensics PR promised. *)
-  let bench_recorder () =
-    let recorder = Engine.Recorder.create () in
+  let recorder_bench name recorder =
     let times = boxed float_of_int in
-    bench "recorder/record" (fun n ->
+    bench name (fun n ->
         for i = 1 to n do
           Engine.Recorder.record recorder ~time:!(times.(i land 1023))
             ~kind:Engine.Recorder.Enqueue ~uid:i ~link:2 ~tenant:0 ~flow:3
             ~rank_before:(-1) ~rank:42
         done)
+  in
+  (* The armed flight-recorder ring: its alloc B/op column documents its
+     zero-allocation steady state. *)
+  let bench_recorder () =
+    recorder_bench "recorder/record" (Engine.Recorder.create ())
   in
   (* The retention store's hot path: one observation folded into every
      tier.  Its alloc B/op column documents the store's allocation-free
@@ -654,6 +448,133 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           Engine.Telemetry.Histogram.observe h !(xs.(i land 1023))
         done)
   in
+  (* The other scheduler backends, through the same churn. *)
+  let bench_sp_pifo () =
+    churn_bench "sp-pifo/enqueue-dequeue" (fun () ->
+        Sched.Sp_pifo.create ~num_queues:8 ~queue_capacity_pkts:256 ())
+  in
+  let bench_aifo () =
+    churn_bench "aifo/enqueue-dequeue" (fun () ->
+        Sched.Aifo.create ~capacity_pkts:256 ())
+  in
+  let bench_drr () =
+    churn_bench "drr/enqueue-dequeue" (fun () ->
+        Sched.Drr_bank.create ~num_queues:8 ~queue_capacity_pkts:64
+          ~quantum_bytes:1518
+          ~classify:(fun p -> p.Sched.Packet.rank / 8192)
+          ())
+  in
+  let bench_calendar () =
+    churn_bench "calendar/enqueue-dequeue" (fun () ->
+        Sched.Calendar_queue.create ~num_buckets:32 ~bucket_width:2048
+          ~capacity_pkts:256 ())
+  in
+  let bench_pifo_tree () =
+    churn_bench "pifo-tree/enqueue-dequeue" (fun () ->
+        Sched.Pifo_tree.to_qdisc
+          ~classify:(fun p -> p.Sched.Packet.rank mod 3)
+          ~capacity_pkts:256
+          (Sched.Pifo_tree.strict
+             [
+               Sched.Pifo_tree.leaf ();
+               Sched.Pifo_tree.wfq
+                 [ (Sched.Pifo_tree.leaf (), 1.0); (Sched.Pifo_tree.leaf (), 2.0) ];
+             ]))
+  in
+  (* Control-plane costs of hundreds of ns and more, where one closure
+     call per op is noise. *)
+  let repeat name op =
+    bench name (fun n ->
+        for _ = 1 to n do
+          op ()
+        done)
+  in
+  let bench_synthesizer_small () =
+    let tenants =
+      [
+        Qvisor.Tenant.make ~rank_hi:30_000 ~id:0 ~name:"pfabric" ();
+        Qvisor.Tenant.make ~rank_hi:150 ~id:1 ~name:"edf" ();
+      ]
+    in
+    let policy = Qvisor.Policy.parse_exn "pfabric >> edf" in
+    repeat "synthesizer/2-tenant" (fun () ->
+        ignore (Qvisor.Synthesizer.synthesize_exn ~tenants ~policy ()))
+  in
+  let bench_synthesizer_large () =
+    let tenants =
+      List.init 16 (fun i ->
+          Qvisor.Tenant.make ~rank_hi:10_000 ~id:i
+            ~name:(Printf.sprintf "T%d" i) ())
+    in
+    let policy =
+      Qvisor.Policy.parse_exn
+        "T0 >> T1 > T2 + T3 >> T4 + T5 + T6 + T7 >> T8 > T9 > T10 >> T11 + \
+         T12 >> T13 >> T14 + T15"
+    in
+    repeat "synthesizer/16-tenant" (fun () ->
+        ignore (Qvisor.Synthesizer.synthesize_exn ~tenants ~policy ()))
+  in
+  let bench_policy_parse () =
+    repeat "policy/parse" (fun () ->
+        ignore (Qvisor.Policy.parse_exn "T1 >> T2 > T3 + T4 >> T5"))
+  in
+  let bench_ranker name ranker p =
+    bench name (fun n ->
+        for _ = 1 to n do
+          ignore (Sched.Ranker.tag ranker ~now:0. p)
+        done)
+  in
+  let bench_ranker_pfabric () =
+    bench_ranker "ranker/pfabric-tag" (Sched.Ranker.pfabric ())
+      (Sched.Packet.make ~remaining:250_000 ~flow:1 ~size:1500 ())
+  in
+  let bench_ranker_stfq () =
+    bench_ranker "ranker/stfq-tag" (Sched.Ranker.stfq ())
+      (Sched.Packet.make ~flow:1 ~size:1500 ())
+  in
+  let bench_analysis () =
+    let plan = fig3_plan () in
+    repeat "analysis/check-plan" (fun () -> ignore (Qvisor.Analysis.check plan))
+  in
+  (* Instruments armed and disabled: a disabled registry, recorder or
+     profiler hands out inert handles, so the disabled entries measure
+     what instrumented code pays when observability is off. *)
+  let bench_counter name tel =
+    let c = Engine.Telemetry.counter tel "bench.counter" in
+    bench name (fun n ->
+        for _ = 1 to n do
+          Engine.Telemetry.Counter.incr c
+        done)
+  in
+  let bench_counter_armed () =
+    bench_counter "telemetry/counter-incr" (Engine.Telemetry.create ())
+  in
+  let bench_counter_disabled () =
+    bench_counter "telemetry/counter-incr-disabled" Engine.Telemetry.disabled
+  in
+  (* preprocessor/process with a live registry attached: the delta
+     against the uninstrumented entry is the observability tax. *)
+  let bench_preprocessor_instrumented () =
+    preprocessor_bench "telemetry/preprocessor-process"
+      (Qvisor.Preprocessor.of_plan ~telemetry:(Engine.Telemetry.create ())
+         (fig3_plan ()))
+  in
+  let bench_recorder_disabled () =
+    recorder_bench "recorder/record-disabled" Engine.Recorder.disabled
+  in
+  (* An enabled profiler keeps every span, so each timed call gets a
+     fresh one: memory stays bounded by one trial's spans. *)
+  let span_bench name profiler =
+    bench name (fun n ->
+        let profiler = profiler () in
+        for _ = 1 to n do
+          Engine.Span.with_ profiler ~name:"bench.span" Fun.id
+        done)
+  in
+  let bench_span () = span_bench "span/with" Engine.Span.create in
+  let bench_span_disabled () =
+    span_bench "span/with-disabled" (fun () -> Engine.Span.disabled)
+  in
   let entries =
     [
       bench_pifo ();
@@ -667,12 +588,29 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_tsdb ();
       bench_p2 ();
       bench_histogram ();
+      bench_sp_pifo ();
+      bench_aifo ();
+      bench_drr ();
+      bench_calendar ();
+      bench_pifo_tree ();
+      bench_synthesizer_small ();
+      bench_synthesizer_large ();
+      bench_policy_parse ();
+      bench_ranker_pfabric ();
+      bench_ranker_stfq ();
+      bench_analysis ();
+      bench_counter_armed ();
+      bench_counter_disabled ();
+      bench_preprocessor_instrumented ();
+      bench_recorder_disabled ();
+      bench_span ();
+      bench_span_disabled ();
     ]
   in
   List.iter
     (fun (e : Engine.Perf.Bench.entry) ->
       Format.printf
-        "%-28s %10.1f ns/op (min %.1f, MAD %.2f)  %8.1f alloc B/op@."
+        "%-31s %10.1f ns/op (min %.1f, MAD %.2f)  %8.1f alloc B/op@."
         e.Engine.Perf.Bench.b_name e.b_ns_per_op.Engine.Perf.Summary.s_median
         e.b_ns_per_op.Engine.Perf.Summary.s_min
         e.b_ns_per_op.Engine.Perf.Summary.s_mad
@@ -686,42 +624,6 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
 
 let run_profile () =
   Format.printf "== profiling & flight-recorder overhead ==@.";
-  (* Micro: Recorder.record, armed ring vs the shared disabled recorder
-     (the cost instrumented code pays when flight recording is off). *)
-  let iters = 5_000_000 in
-  let time_record recorder =
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to iters do
-      Engine.Recorder.record recorder ~time:(float_of_int i)
-        ~kind:Engine.Recorder.Enqueue ~uid:i ~link:2 ~tenant:0 ~flow:3
-        ~rank_before:(-1) ~rank:42
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  ignore (time_record (Engine.Recorder.create ()));
-  let armed = time_record (Engine.Recorder.create ()) in
-  let off = time_record Engine.Recorder.disabled in
-  Format.printf
-    "recorder.record: armed %5.1f ns/event (%.3g events/s), disabled %5.1f \
-     ns/event@."
-    (1e9 *. armed /. float_of_int iters)
-    (float_of_int iters /. armed)
-    (1e9 *. off /. float_of_int iters);
-  (* Micro: Span.with_, enabled vs the shared disabled profiler. *)
-  let span_iters = 1_000_000 in
-  let time_span profiler =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to span_iters do
-      Engine.Span.with_ profiler ~name:"bench.span" Fun.id
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let span_on = time_span (Engine.Span.create ()) in
-  let span_off = time_span Engine.Span.disabled in
-  Format.printf
-    "span.with_:      enabled %5.1f ns/span, disabled %5.1f ns/span@."
-    (1e9 *. span_on /. float_of_int span_iters)
-    (1e9 *. span_off /. float_of_int span_iters);
   (* End to end: a quick Fig. 4 point with every port's flight recorder
      armed vs off, compared on engine events/sec.  The ring is meant to
      be cheap enough to leave always-on: overhead should stay under 10%. *)
@@ -822,28 +724,7 @@ let run_profile () =
     | Ok r -> r
   in
   let store = Engine.Tsdb.create () in
-  let snapshot ~time =
-    let obs kind name v =
-      Engine.Tsdb.observe store (Engine.Tsdb.series store ~kind name) ~time v
-    in
-    List.iter
-      (fun (name, v) -> obs Engine.Tsdb.Counter name (float_of_int v))
-      (Engine.Telemetry.exported_counters snap_tel);
-    List.iter
-      (fun (name, v) -> obs Engine.Tsdb.Gauge name v)
-      (Engine.Telemetry.exported_gauges snap_tel);
-    List.iter
-      (fun (name, h) ->
-        let count = Engine.Telemetry.Histogram.count h in
-        obs Engine.Tsdb.Counter (name ^ ".count") (float_of_int count);
-        if count > 0 then begin
-          obs Engine.Tsdb.Gauge (name ^ ".p50")
-            (Engine.Telemetry.Histogram.quantile h 0.5);
-          obs Engine.Tsdb.Gauge (name ^ ".p99")
-            (Engine.Telemetry.Histogram.quantile h 0.99)
-        end)
-      (Engine.Telemetry.exported_histograms snap_tel)
-  in
+  let snapshot ~time = Engine.Tsdb.snapshot store snap_tel ~time in
   let snap_iters = 20_000 in
   snapshot ~time:0.;
   let t0 = Unix.gettimeofday () in
@@ -867,24 +748,6 @@ let run_profile () =
   write_json "BENCH_profile.json"
     (Engine.Json.Obj
        [
-         ( "recorder_ns_per_event",
-           Engine.Json.Obj
-             [
-               ( "armed",
-                 Engine.Json.Number (1e9 *. armed /. float_of_int iters) );
-               ( "disabled",
-                 Engine.Json.Number (1e9 *. off /. float_of_int iters) );
-             ] );
-         ( "span_ns_per_span",
-           Engine.Json.Obj
-             [
-               ( "enabled",
-                 Engine.Json.Number
-                   (1e9 *. span_on /. float_of_int span_iters) );
-               ( "disabled",
-                 Engine.Json.Number
-                   (1e9 *. span_off /. float_of_int span_iters) );
-             ] );
          ( "fig4_quick_events_per_sec",
            Engine.Json.Obj
              [
@@ -929,8 +792,8 @@ let () =
   let open Cmdliner in
   let mode_arg =
     let doc =
-      "Section to run: $(b,micro), $(b,figures), $(b,scaling), \
-       $(b,conformance), $(b,engine), $(b,profile), or $(b,all)."
+      "Section to run: $(b,figures), $(b,scaling), $(b,conformance), \
+       $(b,engine), $(b,profile), or $(b,all)."
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"MODE" ~doc)
   in
@@ -973,14 +836,12 @@ let () =
     let bench_mode = if quick then "quick" else "full" in
     let engine () = run_engine ~trials ~min_time_s ~out ~mode:bench_mode () in
     (match mode with
-    | "micro" -> run_micro ()
     | "figures" -> run_figures ()
     | "scaling" -> run_scaling ()
     | "conformance" -> run_conformance ()
     | "engine" -> engine ()
     | "profile" -> run_profile ()
     | "all" ->
-      run_micro ();
       run_figures ();
       run_scaling ();
       run_conformance ();
@@ -988,7 +849,7 @@ let () =
       run_profile ()
     | m ->
       Format.eprintf
-        "unknown mode %S (expected micro|figures|scaling|conformance|engine|profile|all)@."
+        "unknown mode %S (expected figures|scaling|conformance|engine|profile|all)@."
         m;
       exit 2);
     Format.printf "@.bench: done@."

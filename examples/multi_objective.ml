@@ -75,7 +75,13 @@ let () =
   ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay:1e-6);
   let routing = Netsim.Routing.compute topo in
   let sim = Engine.Sim.create () in
-  let timeline = Engine.Timeseries.create ~bucket:0.001 () in
+  (* Delivered bytes per 1 ms bucket, one slot per bucket up to [until]. *)
+  let until = 0.2 and bucket = 0.001 in
+  let slots = int_of_float (until /. bucket) + 1 in
+  let store =
+    Engine.Tsdb.create ~tiers:[ { Engine.Tsdb.resolution = bucket; slots } ] ()
+  in
+  let timeline = Engine.Tsdb.series store ~kind:Engine.Tsdb.Gauge "delivered" in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
       ~make_qdisc:(fun _ -> Sched.Fifo_queue.create ~capacity_pkts:4000 ())
@@ -84,7 +90,7 @@ let () =
           Some { Netsim.Net.shaper_rate = 12.5e6; shaper_burst = 15_000. }
         else None)
       ~deliver:(fun p ->
-        Engine.Timeseries.add timeline ~time:(Engine.Sim.now sim)
+        Engine.Tsdb.observe store timeline ~time:(Engine.Sim.now sim)
           (float_of_int p.Sched.Packet.size))
       ()
   in
@@ -98,9 +104,11 @@ let () =
     end
   in
   blast ();
-  Engine.Sim.run ~until:0.2 sim;
+  Engine.Sim.run ~until sim;
   Format.printf
     "@.shaped uplink (100 Mb/s token bucket, 200 Mb/s offered for 10 ms) — \
      delivered bytes per ms:@.%a@."
-    (Engine.Timeseries.pp ~width:40 ())
-    timeline
+    Engine.Tsdb.pp_sums
+    (Option.get
+       (Engine.Tsdb.query store ~name:"delivered" ~start:0.
+          ~stop:(float_of_int slots *. bucket) ()))

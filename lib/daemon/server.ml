@@ -111,31 +111,7 @@ let annotate t ~kind ?tenant ~detail () =
   Engine.Tsdb.annotate t.tsdb ~time:(Engine.Sim.now t.sim) ~kind ?tenant ~detail
     ()
 
-(* One snapshot folds the entire live registry into the retention store:
-   every exported counter (cumulative, converted to increments inside
-   Tsdb), every gauge, and the p50/p99/count of every histogram. *)
-let snapshot t =
-  let now = Engine.Sim.now t.sim in
-  let obs kind name v =
-    Engine.Tsdb.observe t.tsdb (Engine.Tsdb.series t.tsdb ~kind name) ~time:now v
-  in
-  List.iter
-    (fun (name, v) -> obs Engine.Tsdb.Counter name (float_of_int v))
-    (Engine.Telemetry.exported_counters t.tel);
-  List.iter
-    (fun (name, v) -> obs Engine.Tsdb.Gauge name v)
-    (Engine.Telemetry.exported_gauges t.tel);
-  List.iter
-    (fun (name, h) ->
-      let count = Engine.Telemetry.Histogram.count h in
-      obs Engine.Tsdb.Counter (name ^ ".count") (float_of_int count);
-      if count > 0 then begin
-        obs Engine.Tsdb.Gauge (name ^ ".p50")
-          (Engine.Telemetry.Histogram.quantile h 0.5);
-        obs Engine.Tsdb.Gauge (name ^ ".p99")
-          (Engine.Telemetry.Histogram.quantile h 0.99)
-      end)
-    (Engine.Telemetry.exported_histograms t.tel)
+let snapshot t = Engine.Tsdb.snapshot t.tsdb t.tel ~time:(Engine.Sim.now t.sim)
 
 let audit_line t json =
   match t.config.audit with

@@ -166,6 +166,25 @@ let observe t s ~time value =
     done
   end
 
+(* One snapshot folds the entire registry into the store: every exported
+   counter (cumulative, converted to increments above), every gauge, and
+   the p50/p99/count of every histogram. *)
+let snapshot t tel ~time =
+  let obs kind name v = observe t (series t ~kind name) ~time v in
+  List.iter
+    (fun (name, v) -> obs Counter name (float_of_int v))
+    (Telemetry.exported_counters tel);
+  List.iter (fun (name, v) -> obs Gauge name v) (Telemetry.exported_gauges tel);
+  List.iter
+    (fun (name, h) ->
+      let count = Telemetry.Histogram.count h in
+      obs Counter (name ^ ".count") (float_of_int count);
+      if count > 0 then begin
+        obs Gauge (name ^ ".p50") (Telemetry.Histogram.quantile h 0.5);
+        obs Gauge (name ^ ".p99") (Telemetry.Histogram.quantile h 0.99)
+      end)
+    (Telemetry.exported_histograms tel)
+
 let names t =
   Hashtbl.fold (fun name s acc -> (name, s.s_kind) :: acc) t.by_name []
   |> List.sort compare
@@ -290,6 +309,37 @@ let query t ~name ~start ~stop ?step () =
       done;
       Some { r_name = name; r_kind = s.s_kind; r_start; r_step; r_points = points }
     end
+
+let pp_sums ppf r =
+  let width = 40 in
+  let sum = function Some p -> p.p_sum | None -> 0. in
+  let pts = r.r_points in
+  (* Render from the first to the last non-empty bucket. *)
+  let empty i = Option.is_none pts.(i) in
+  let rec first i =
+    if i < Array.length pts && empty i then first (i + 1) else i
+  in
+  let rec last i = if i >= 0 && empty i then last (i - 1) else i in
+  let lo = first 0 and hi = last (Array.length pts - 1) in
+  if lo > hi then Format.pp_print_string ppf "(empty)"
+  else begin
+    let peak = ref 0. in
+    for i = lo to hi do
+      peak := Float.max !peak (sum pts.(i))
+    done;
+    Format.fprintf ppf "@[<v>";
+    for i = lo to hi do
+      let v = sum pts.(i) in
+      let bar =
+        if !peak <= 0. then 0
+        else int_of_float (v /. !peak *. float_of_int width)
+      in
+      Format.fprintf ppf "%8.3f | %s %.3g@,"
+        (r.r_start +. (float_of_int i *. r.r_step))
+        (String.make bar '#') v
+    done;
+    Format.fprintf ppf "@]"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Annotations                                                        *)

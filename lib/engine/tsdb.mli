@@ -72,6 +72,13 @@ val observe : t -> series -> time:float -> float -> unit
 (** Fold one observation into every tier's ring.  Allocation-free.
     Negative times are clamped to [0.]; NaN values are dropped. *)
 
+val snapshot : t -> Telemetry.t -> time:float -> unit
+(** Fold a whole registry into the store at [time]: every exported
+    counter as a {!Counter} series, every gauge as a {!Gauge} series,
+    and per histogram a [<name>.count] counter plus [<name>.p50] and
+    [<name>.p99] gauges (once it has samples).  The serve loop's
+    snapshotter. *)
+
 val names : t -> (string * kind) list
 (** Every interned series, sorted by name. *)
 
@@ -129,6 +136,13 @@ val query :
     (falling back to the deepest-retention tier).  [None] for an unknown series or an empty
     interval.  Alignment invariant: [r_start = floor (start /. r_step)
     *. r_step], and every bucket boundary is a multiple of [r_step]. *)
+
+val pp_sums : Format.formatter -> range -> unit
+(** ASCII bar chart of an answer's per-bucket sums, one row per bucket
+    labelled with its start time, bars scaled to 40 columns at the peak.
+    Rows run from the first to the last non-empty bucket; empty buckets
+    inside that span print as 0, and an answer with no data prints
+    [(empty)]. *)
 
 (** {1 Annotations} *)
 

@@ -4,7 +4,7 @@ type result = {
   after_join_ms : float;
   degradation : float;
   t3_flows_completed : int;
-  activity : (string * Engine.Timeseries.t) list;
+  activity : Engine.Tsdb.range list;
 }
 
 type params = {
@@ -75,14 +75,23 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     end
     else None
   in
-  (* Per-tenant delivered-bytes timelines (the Fig. 2 activity plot). *)
+  (* Per-tenant delivered-bytes timelines (the Fig. 2 activity plot): one
+     10 ms tier with a slot for every bucket up to the run's end. *)
+  let until = params.t_end +. params.drain in
+  let bucket = 0.01 in
+  let slots = int_of_float (until /. bucket) + 1 in
+  let store =
+    Engine.Tsdb.create ~tiers:[ { Engine.Tsdb.resolution = bucket; slots } ] ()
+  in
+  let names = [ "T1 (pfabric)"; "T2 (edf)"; "T3 (background)" ] in
   let activity =
-    Array.init 3 (fun _ -> Engine.Timeseries.create ~bucket:0.01 ())
+    Array.of_list
+      (List.map (Engine.Tsdb.series store ~kind:Engine.Tsdb.Gauge) names)
   in
   let deliver p =
     let tenant = p.Sched.Packet.tenant in
     if tenant >= 0 && tenant < Array.length activity then
-      Engine.Timeseries.add activity.(tenant) ~time:(Engine.Sim.now sim)
+      Engine.Tsdb.observe store activity.(tenant) ~time:(Engine.Sim.now sim)
         (float_of_int p.Sched.Packet.payload);
     Netsim.Transport.deliver transport p
   in
@@ -157,7 +166,7 @@ let run ?(telemetry = Engine.Telemetry.disabled)
                   end))
          in
          arrival ()));
-  Engine.Sim.run ~until:(params.t_end +. params.drain) sim;
+  Engine.Sim.run ~until sim;
   let before_ms = 1e3 *. Engine.Stats.mean before in
   let after_ms = 1e3 *. Engine.Stats.mean after in
   {
@@ -167,11 +176,12 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     degradation = after_ms /. before_ms;
     t3_flows_completed = !t3_completed;
     activity =
-      [
-        ("T1 (pfabric)", activity.(0));
-        ("T2 (edf)", activity.(1));
-        ("T3 (background)", activity.(2));
-      ];
+      List.map
+        (fun name ->
+          Option.get
+            (Engine.Tsdb.query store ~name ~start:0.
+               ~stop:(float_of_int slots *. bucket) ()))
+        names;
   }
 
 let compare_schemes ?jobs
@@ -199,12 +209,20 @@ let print ppf results =
   Format.fprintf ppf "@]"
 
 let print_activity ppf r =
-  Format.fprintf ppf "@[<v>tenant activity under %s (delivered bytes/s):@," r.scheme;
+  (* The tenants' answers share one step: label the bucket width they
+     carry, which Tsdb.max_points may have coarsened past 10 ms. *)
+  let step = (List.hd r.activity).Engine.Tsdb.r_step in
+  Format.fprintf ppf
+    "@[<v>tenant activity under %s (delivered bytes per %g ms):@," r.scheme
+    (1e3 *. step);
   List.iter
-    (fun (name, ts) ->
-      Format.fprintf ppf "@,%s (total %.3g MB):@,%a@," name
-        (Engine.Timeseries.total ts /. 1e6)
-        (Engine.Timeseries.pp ~width:40 ())
-        ts)
+    (fun (a : Engine.Tsdb.range) ->
+      let total =
+        Array.fold_left
+          (fun acc -> function Some p -> acc +. p.Engine.Tsdb.p_sum | None -> acc)
+          0. a.r_points
+      in
+      Format.fprintf ppf "@,%s (total %.3g MB):@,%a@," a.r_name (total /. 1e6)
+        Engine.Tsdb.pp_sums a)
     r.activity;
   Format.fprintf ppf "@]"

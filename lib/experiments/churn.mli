@@ -18,8 +18,9 @@ type result = {
   after_join_ms : float;  (** same, while T3 is active *)
   degradation : float;  (** [after /. before] *)
   t3_flows_completed : int;
-  activity : (string * Engine.Timeseries.t) list;
-      (** per-tenant delivered bytes over time — the Fig. 2 timeline *)
+  activity : Engine.Tsdb.range list;
+      (** per-tenant delivered bytes per 10 ms bucket, one answer per
+          tenant named after it — the Fig. 2 timeline *)
 }
 
 type params = {
@@ -63,4 +64,5 @@ val compare_schemes :
 val print : Format.formatter -> result list -> unit
 
 val print_activity : Format.formatter -> result -> unit
-(** ASCII rendering of each tenant's delivery-rate timeline. *)
+(** ASCII rendering of each tenant's delivered bytes per bucket, headed
+    by the bucket width the answers carry. *)

@@ -434,11 +434,10 @@ let jobs_of_grid params ~loads ~schemes =
 
 let run_jobs ?jobs ?(telemetry_for = fun (_ : job) -> Engine.Telemetry.disabled)
     ?(profiler_for = fun (_ : job) -> Engine.Span.disabled)
-    ?(on_start = fun (_ : job) -> ()) ?(slo = false) ?(perf = false) params
-    jobs_list =
-  (* [perf] defaults off here, unlike [run]: the perf layer's gauges are
-     wall-clock rates, so merged snapshots would no longer be identical
-     across worker counts — the invariant parallel sweeps promise. *)
+    ?(on_start = fun (_ : job) -> ()) ?(slo = false) params jobs_list =
+  (* No perf layer, unlike [run]'s default: its gauges are wall-clock
+     rates, so merged snapshots would no longer be identical across worker
+     counts — the invariant parallel sweeps promise. *)
   let outcomes =
     Engine.Parallel.map ?jobs
       (fun job ->
@@ -446,7 +445,7 @@ let run_jobs ?jobs ?(telemetry_for = fun (_ : job) -> Engine.Telemetry.disabled)
         run
           ~telemetry:(telemetry_for job)
           ~profiler:(profiler_for job)
-          ~slo ~perf
+          ~slo ~perf:false
           { params with load = job.job_load }
           job.job_scheme)
       jobs_list
@@ -460,9 +459,9 @@ let run_jobs ?jobs ?(telemetry_for = fun (_ : job) -> Engine.Telemetry.disabled)
   in
   collect [] outcomes
 
-let sweep ?jobs ?telemetry_for ?profiler_for ?on_start ?slo ?perf params ~loads
+let sweep ?jobs ?telemetry_for ?profiler_for ?on_start ?slo params ~loads
     ~schemes =
-  run_jobs ?jobs ?telemetry_for ?profiler_for ?on_start ?slo ?perf params
+  run_jobs ?jobs ?telemetry_for ?profiler_for ?on_start ?slo params
     (jobs_of_grid params ~loads ~schemes)
 
 let paper_loads = [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]

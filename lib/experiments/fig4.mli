@@ -188,7 +188,6 @@ val run_jobs :
   ?profiler_for:(job -> Engine.Span.t) ->
   ?on_start:(job -> unit) ->
   ?slo:bool ->
-  ?perf:bool ->
   params ->
   job list ->
   (result list, Qvisor.Error.t) Stdlib.result
@@ -203,11 +202,7 @@ val run_jobs :
     the worker count); [on_start] is invoked in the {e worker} domain as a
     job begins, so the callback must be thread-safe.  [slo] (default
     [false]) audits every job's run as in {!run} — final verdicts are
-    identical for any worker count.  [perf] defaults to [false] here,
-    {e unlike} {!run}: the {!Engine.Perf} gauges are wall-clock rates,
-    so publishing them would make merged snapshots differ across worker
-    counts, breaking the invariance this function promises — opt in
-    only when the registries are inspected per job.  The
+    identical for any worker count.  Jobs run with [~perf:false].  The
     lowest-indexed failing job's error is returned. *)
 
 val sweep :
@@ -216,7 +211,6 @@ val sweep :
   ?profiler_for:(job -> Engine.Span.t) ->
   ?on_start:(job -> unit) ->
   ?slo:bool ->
-  ?perf:bool ->
   params ->
   loads:float list ->
   schemes:scheme list ->

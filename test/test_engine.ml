@@ -641,69 +641,7 @@ let prop_p2_within_range =
       lo <= e && e <= hi)
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_ts_basic () =
-  let ts = Engine.Timeseries.create ~bucket:1.0 () in
-  Engine.Timeseries.add ts ~time:0.5 10.;
-  Engine.Timeseries.add ts ~time:0.9 5.;
-  Engine.Timeseries.add ts ~time:2.1 7.;
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9)))) "buckets with gap"
-    [ (0., 15.); (1., 0.); (2., 7.) ]
-    (Engine.Timeseries.buckets ts);
-  check_float "total" 22. (Engine.Timeseries.total ts)
-
-let test_ts_rate () =
-  let ts = Engine.Timeseries.create ~bucket:0.5 () in
-  Engine.Timeseries.add ts ~time:0.1 100.;
-  (match Engine.Timeseries.rate ts with
-  | [ (_, r) ] -> check_float "rate = sum / width" 200. r
-  | _ -> Alcotest.fail "expected one bucket")
-
-let test_ts_rate_multi_bucket () =
-  (* Rates across several buckets, including an empty gap bucket. *)
-  let ts = Engine.Timeseries.create ~bucket:0.5 () in
-  Engine.Timeseries.add ts ~time:0.1 100.;
-  Engine.Timeseries.add ts ~time:0.3 100.;
-  Engine.Timeseries.add ts ~time:0.6 25.;
-  Engine.Timeseries.add ts ~time:1.6 50.;
-  match Engine.Timeseries.rate ts with
-  | [ (t0, r0); (_, r1); (_, r2); (_, r3) ] ->
-    check_float "first bucket start" 0. t0;
-    check_float "bucket 0 rate" 400. r0;
-    check_float "bucket 1 rate" 50. r1;
-    check_float "gap bucket rate" 0. r2;
-    check_float "bucket 3 rate" 100. r3
-  | l -> Alcotest.failf "expected four buckets, got %d" (List.length l)
-
-let test_ts_empty () =
-  let ts = Engine.Timeseries.create ~bucket:1.0 () in
-  Alcotest.(check (list (pair (float 0.) (float 0.)))) "empty" []
-    (Engine.Timeseries.buckets ts);
-  check_float "zero total" 0. (Engine.Timeseries.total ts)
-
-let test_ts_invalid () =
-  let raises f = try f (); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "zero bucket" true
-    (raises (fun () -> ignore (Engine.Timeseries.create ~bucket:0. ())));
-  let ts = Engine.Timeseries.create ~bucket:1.0 () in
-  Alcotest.(check bool) "negative time" true
-    (raises (fun () -> Engine.Timeseries.add ts ~time:(-1.) 1.))
-
-let test_ts_out_of_order () =
-  let ts = Engine.Timeseries.create ~bucket:1.0 () in
-  Engine.Timeseries.add ts ~time:5.0 1.;
-  Engine.Timeseries.add ts ~time:1.0 2.;
-  (match Engine.Timeseries.buckets ts with
-  | (t0, v0) :: _ ->
-    check_float "starts at earliest" 1.0 t0;
-    check_float "earliest sum" 2.0 v0
-  | [] -> Alcotest.fail "no buckets");
-  Alcotest.(check int) "span" 5 (List.length (Engine.Timeseries.buckets ts))
-
-(* ------------------------------------------------------------------ *)
-(* Merge machinery (P², Timeseries)                                    *)
+(* Merge machinery (P²)                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_p2_merge_small_exact () =
@@ -750,28 +688,6 @@ let test_p2_merge_empty_and_mismatch () =
   Alcotest.(check bool) "quantile mismatch rejected" true
     (try
        Engine.P2_quantile.merge_into ~into:a other;
-       false
-     with Invalid_argument _ -> true)
-
-let test_ts_merge () =
-  let a = Engine.Timeseries.create ~bucket:1.0 () in
-  let b = Engine.Timeseries.create ~bucket:1.0 () in
-  Engine.Timeseries.add a ~time:0.5 1.;
-  Engine.Timeseries.add b ~time:0.5 2.;
-  Engine.Timeseries.add b ~time:3.5 4.;
-  Engine.Timeseries.merge_into ~into:a b;
-  check_float "totals add" 7. (Engine.Timeseries.total a);
-  (match Engine.Timeseries.buckets a with
-  | (t0, v0) :: _ ->
-    check_float "first bucket time" 0. t0;
-    check_float "first bucket sums" 3. v0
-  | [] -> Alcotest.fail "no buckets");
-  Alcotest.(check int) "span covers src" 4
-    (List.length (Engine.Timeseries.buckets a));
-  let wide = Engine.Timeseries.create ~bucket:2.0 () in
-  Alcotest.(check bool) "bucket mismatch rejected" true
-    (try
-       Engine.Timeseries.merge_into ~into:a wide;
        false
      with Invalid_argument _ -> true)
 
@@ -1023,16 +939,6 @@ let () =
           qc prop_stats_merge_moments_match_samples;
           qc prop_stats_mean_matches_naive;
           qc prop_stats_minmax;
-        ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "basic" `Quick test_ts_basic;
-          Alcotest.test_case "rate" `Quick test_ts_rate;
-          Alcotest.test_case "rate multi-bucket" `Quick test_ts_rate_multi_bucket;
-          Alcotest.test_case "empty" `Quick test_ts_empty;
-          Alcotest.test_case "invalid" `Quick test_ts_invalid;
-          Alcotest.test_case "out of order" `Quick test_ts_out_of_order;
-          Alcotest.test_case "merge" `Quick test_ts_merge;
         ] );
       ( "parallel",
         [

@@ -938,7 +938,16 @@ let test_churn_qvisor_protects () =
        qvisor.Experiments.Churn.after_join_ms naive.Experiments.Churn.after_join_ms)
     true
     (qvisor.Experiments.Churn.after_join_ms
-    < naive.Experiments.Churn.after_join_ms)
+    < naive.Experiments.Churn.after_join_ms);
+  (* Golden pin on the rendered table and both activity plots. *)
+  let rendered =
+    Format.asprintf "%a@.%a@.%a@." Experiments.Churn.print [ naive; qvisor ]
+      Experiments.Churn.print_activity naive Experiments.Churn.print_activity
+      qvisor
+  in
+  Alcotest.(check string) "table and activity plots digest"
+    "4fbf2182bb366c6e2e1119ed7dadb45e"
+    (Digest.to_hex (Digest.string rendered))
 
 let () =
   Alcotest.run "extensions"

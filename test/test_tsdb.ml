@@ -252,6 +252,38 @@ let test_memory_bound () =
     (Tsdb.per_series_bytes (Tsdb.create ()))
 
 (* ------------------------------------------------------------------ *)
+(* Rendering                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One 1 s tier wide enough that no bucket below 8 s is ever lapped: the
+   shape churn's activity plot uses. *)
+let render observations =
+  let t = Tsdb.create ~tiers:[ { Tsdb.resolution = 1.; slots = 8 } ] () in
+  let s = Tsdb.series t ~kind:Tsdb.Gauge "bytes" in
+  List.iter (fun (time, v) -> Tsdb.observe t s ~time v) observations;
+  Format.asprintf "%a" Tsdb.pp_sums
+    (query_exn t ~name:"bytes" ~start:0. ~stop:8. ())
+
+let bar n = String.make n '#'
+
+let test_render_basic () =
+  Alcotest.(check string) "an empty bucket inside the span prints 0"
+    (Printf.sprintf "   0.000 | %s 15\n   1.000 |  0\n   2.000 | %s 7\n"
+       (bar 40) (bar 18))
+    (render [ (0.5, 10.); (0.9, 5.); (2.1, 7.) ])
+
+let test_render_out_of_order () =
+  Alcotest.(check string) "spans the earliest to the latest bucket"
+    (Printf.sprintf
+       "   1.000 | %s 2\n   2.000 |  0\n   3.000 |  0\n   4.000 |  0\n\
+       \   5.000 | %s 1\n"
+       (bar 40) (bar 20))
+    (render [ (5.0, 1.); (1.0, 2.) ])
+
+let test_render_empty () =
+  Alcotest.(check string) "no data" "(empty)" (render [])
+
+(* ------------------------------------------------------------------ *)
 (* Annotations                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -310,6 +342,12 @@ let () =
         ] );
       ( "memory",
         [ Alcotest.test_case "fixed bound" `Quick test_memory_bound ] );
+      ( "render",
+        [
+          Alcotest.test_case "basic" `Quick test_render_basic;
+          Alcotest.test_case "out of order" `Quick test_render_out_of_order;
+          Alcotest.test_case "empty" `Quick test_render_empty;
+        ] );
       ( "annotations",
         [
           Alcotest.test_case "ordering and overflow" `Quick
