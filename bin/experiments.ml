@@ -97,8 +97,8 @@ let telemetry_arg =
 
 let trace_arg =
   let doc =
-    "Write a sampled NDJSON packet-event trace (enqueue/dequeue/drop/ \
-     preprocess) to $(docv)."
+    "Write a sampled NDJSON packet-event trace (preprocess/enqueue/ \
+     dequeue/drop/evict) to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

@@ -244,9 +244,10 @@ let dry_run_parts tenants =
 
 (* Runs on a worker domain: a private registry, a private pre-processor
    over the shared (immutable) plan, and — when tracing — a private sink
-   on a temp file whose sampler is seeded from the partition index.  When
-   profiling, the part also carries a private span profiler, merged back
-   in partition order. *)
+   on a temp file whose sampler is seeded from the partition index.  The
+   part's packet uids start after its [seq_offset], as in a serial run.
+   When profiling, the part also carries a private span profiler, merged
+   back in partition order. *)
 let run_dry_run_part ~plan ~trace ~trace_sample ~profiled part =
   let prof = if profiled then Engine.Span.create () else Engine.Span.disabled in
   Engine.Span.with_ prof ~name:"plan.dry_run_part" @@ fun () ->
@@ -262,15 +263,17 @@ let run_dry_run_part ~plan ~trace ~trace_sample ~profiled part =
       Some (path, oc)
   in
   let pre = Qvisor.Preprocessor.of_plan ~profiler:prof ~telemetry:tel plan in
+  Sched.Packet.reset_uid_counter part.seq_offset;
   List.iteri
     (fun i (tenant, label) ->
       let p = Sched.Packet.make ~tenant ~rank:label ~flow:0 ~size:1500 () in
       Qvisor.Preprocessor.process pre p;
       if Engine.Telemetry.tracing tel then
-        Engine.Telemetry.event tel
+        Engine.Telemetry.trace tel
           ~time:(float_of_int (part.seq_offset + i))
-          ~kind:"preprocess" ~tenant ~uid:p.Sched.Packet.uid
-          ~rank_before:p.Sched.Packet.label ~rank:p.Sched.Packet.rank ())
+          ~kind:Engine.Recorder.Preprocess ~uid:p.Sched.Packet.uid ~link:(-1)
+          ~tenant ~flow:(-1) ~rank_before:p.Sched.Packet.label
+          ~rank:p.Sched.Packet.rank)
     part.shots;
   (tel, sink, prof)
 

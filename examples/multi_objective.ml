@@ -13,7 +13,7 @@ let edf_range = (0, 1000)
 
 (* Synthetic packets spanning both axes: remaining size and deadline. *)
 let population () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   List.concat_map
     (fun remaining ->
       List.map

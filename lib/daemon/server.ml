@@ -754,7 +754,6 @@ let create config =
   let sim = Engine.Sim.create () in
   let* runtime =
     Qvisor.Runtime.create ~config:synth_config ~telemetry:config.telemetry
-      ~clock:(fun () -> Engine.Sim.now sim)
       ~tenants:config.tenants ~policy:config.policy ()
   in
   let tsdb = Engine.Tsdb.create () in

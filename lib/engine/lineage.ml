@@ -1,46 +1,4 @@
-type event = {
-  t : float;
-  ev : string;
-  uid : int option;
-  link : int option;
-  tenant : int option;
-  flow : int option;
-  rank_before : int option;
-  rank : int option;
-}
-
-let int_field name json =
-  match Json.member name json with
-  | None -> Ok None
-  | Some v -> (
-    match Json.to_int v with
-    | Some i -> Ok (Some i)
-    | None -> Error (Printf.sprintf "field %S is not an integer" name))
-
-let of_json json =
-  let ( let* ) = Result.bind in
-  let* t =
-    match Option.bind (Json.member "t" json) Json.to_float with
-    | Some t -> Ok t
-    | None -> Error "missing numeric field \"t\""
-  in
-  let* ev =
-    match Option.bind (Json.member "ev" json) Json.to_str with
-    | Some e -> Ok e
-    | None -> Error "missing string field \"ev\""
-  in
-  let* uid = int_field "uid" json in
-  let* link = int_field "link" json in
-  let* tenant = int_field "tenant" json in
-  let* flow = int_field "flow" json in
-  let* rank_before = int_field "rank_before" json in
-  let* rank = int_field "rank" json in
-  Ok { t; ev; uid; link; tenant; flow; rank_before; rank }
-
-let of_line line =
-  match Json.of_string line with
-  | Error e -> Error e
-  | Ok json -> of_json json
+type event = Recorder.event
 
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -52,18 +10,16 @@ let load_file path =
       | line :: rest ->
         if String.trim line = "" then go (lineno + 1) acc rest
         else (
-          match of_line line with
+          match Result.bind (Json.of_string line) Recorder.event_of_json with
           | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
           | Ok e -> go (lineno + 1) (e :: acc) rest)
     in
     go 1 [] lines
 
 let field_matches filter field =
-  match filter with
-  | None -> true
-  | Some want -> ( match field with Some got -> got = want | None -> false)
+  match filter with None -> true | Some want -> field >= 0 && field = want
 
-let matches ?uid ?flow ?tenant e =
+let matches ?uid ?flow ?tenant (e : event) =
   field_matches uid e.uid
   && field_matches flow e.flow
   && field_matches tenant e.tenant
@@ -73,34 +29,30 @@ let lineage ?uid ?flow ?tenant events =
   (* Stable, so same-time stages of one packet keep file order
      (preprocess before enqueue). *)
   List.stable_sort
-    (fun a b ->
-      match (a.uid, b.uid) with
-      | Some ua, Some ub when ua <> ub -> compare ua ub
-      | Some _, None -> -1
-      | None, Some _ -> 1
-      | _ -> compare a.t b.t)
+    (fun (a : event) (b : event) ->
+      match (a.uid >= 0, b.uid >= 0) with
+      | true, true when a.uid <> b.uid -> compare a.uid b.uid
+      | true, false -> -1
+      | false, true -> 1
+      | _ -> compare a.time b.time)
     kept
 
-let pp_opt_int ppf ~label = function
-  | None -> ()
-  | Some v -> Format.fprintf ppf "  %s=%d" label v
-
-let pp_event ppf e =
-  Format.fprintf ppf "t=%-10.6f %-12s" e.t e.ev;
-  pp_opt_int ppf ~label:"link" e.link;
-  (match (e.rank_before, e.rank) with
-  | Some before, Some after when before <> after ->
-    Format.fprintf ppf "  rank %d -> %d" before after
-  | _, Some r -> Format.fprintf ppf "  rank=%d" r
-  | Some before, None -> Format.fprintf ppf "  rank_before=%d" before
-  | None, None -> ())
+let pp_event ppf (e : event) =
+  Format.fprintf ppf "t=%-10.6f %-12s" e.time (Recorder.kind_to_string e.kind);
+  if e.link >= 0 then Format.fprintf ppf "  link=%d" e.link;
+  if e.rank >= 0 then
+    if e.rank_before >= 0 && e.rank_before <> e.rank then
+      Format.fprintf ppf "  rank %d -> %d" e.rank_before e.rank
+    else Format.fprintf ppf "  rank=%d" e.rank
+  else if e.rank_before >= 0 then
+    Format.fprintf ppf "  rank_before=%d" e.rank_before
 
 let pp_lineage ppf events =
   (* Partition into per-uid journeys, preserving lineage order. *)
-  let groups : (int option, event list ref) Hashtbl.t = Hashtbl.create 16 in
+  let groups : (int, event list ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
-    (fun e ->
+    (fun (e : event) ->
       match Hashtbl.find_opt groups e.uid with
       | Some r -> r := e :: !r
       | None ->
@@ -115,14 +67,13 @@ let pp_lineage ppf events =
       first := false;
       let head = List.hd evs in
       Format.fprintf ppf "@[<v 2>packet %s"
-        (match uid with
-        | Some u -> Printf.sprintf "uid=%d" u
-        | None -> "uid=?");
-      (match (head.tenant, head.flow) with
-      | Some t, Some f -> Format.fprintf ppf " (tenant %d, flow %d)" t f
-      | Some t, None -> Format.fprintf ppf " (tenant %d)" t
-      | None, Some f -> Format.fprintf ppf " (flow %d)" f
-      | None, None -> ());
+        (if uid >= 0 then Printf.sprintf "uid=%d" uid else "uid=?");
+      (match (head.tenant >= 0, head.flow >= 0) with
+      | true, true ->
+        Format.fprintf ppf " (tenant %d, flow %d)" head.tenant head.flow
+      | true, false -> Format.fprintf ppf " (tenant %d)" head.tenant
+      | false, true -> Format.fprintf ppf " (flow %d)" head.flow
+      | false, false -> ());
       Format.fprintf ppf ": %d event%s" (List.length evs)
         (if List.length evs = 1 then "" else "s");
       List.iter (fun e -> Format.fprintf ppf "@,%a" pp_event e) evs;

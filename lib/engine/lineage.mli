@@ -1,46 +1,31 @@
 (** Packet-lineage forensics over NDJSON event streams.
 
-    Both the {!Telemetry} trace sink and {!Recorder} flight-recorder
-    dumps write one JSON object per line with a shared schema
-    ([{"t":…,"ev":…,"uid":…,"link":…,"tenant":…,"flow":…,
-    "rank_before":…,"rank":…}]; all fields after ["ev"] optional).
-    This module parses those files back and reconstructs per-packet
-    journeys — the stage-by-stage rank story of a flow or packet — for
-    the [qvisor-cli trace query] subcommand and for tests. *)
+    The {!Telemetry} trace sink and {!Recorder} flight-recorder dumps
+    both write {!Recorder.event_to_json}'s line.  This module loads those
+    files back through {!Recorder.event_of_json} and reconstructs
+    per-packet journeys — the stage-by-stage rank story of a flow or
+    packet — for the [qvisor-cli trace query] subcommand and for tests.
+    A negative field means unknown, as in {!Recorder.event}. *)
 
-type event = {
-  t : float;  (** event timestamp (sim seconds, or event index) *)
-  ev : string;  (** stage: [preprocess], [enqueue], [dequeue], [drop], … *)
-  uid : int option;  (** packet uid, when the writer recorded one *)
-  link : int option;
-  tenant : int option;
-  flow : int option;
-  rank_before : int option;  (** rank entering the stage (preprocess) *)
-  rank : int option;  (** rank leaving the stage *)
-}
+val load_file : string -> (Recorder.event list, string) result
+(** Parse an NDJSON file, skipping blank lines; errors (unparsable JSON,
+    an unknown ["ev"], a non-integer field) carry the offending line
+    number.  Events keep file order. *)
 
-val of_json : Json.t -> (event, string) result
-(** Requires a ["t"] number and an ["ev"] string; every other field is
-    optional and must be an integer when present. *)
-
-val of_line : string -> (event, string) result
-
-val load_file : string -> (event list, string) result
-(** Parse an NDJSON file, skipping blank lines; errors carry the
-    offending line number.  Events keep file order. *)
-
-val matches : ?uid:int -> ?flow:int -> ?tenant:int -> event -> bool
+val matches : ?uid:int -> ?flow:int -> ?tenant:int -> Recorder.event -> bool
 (** Conjunction of the given filters; an event missing a filtered field
     does not match.  With no filters every event matches. *)
 
-val lineage : ?uid:int -> ?flow:int -> ?tenant:int -> event list -> event list
+val lineage :
+  ?uid:int -> ?flow:int -> ?tenant:int -> Recorder.event list ->
+  Recorder.event list
 (** Filter, then order by packet (events without a uid last) and, within
     a packet, by time — stably, so same-timestamp stages keep their
     recorded order (preprocess before enqueue). *)
 
-val pp_event : Format.formatter -> event -> unit
+val pp_event : Format.formatter -> Recorder.event -> unit
 
-val pp_lineage : Format.formatter -> event list -> unit
+val pp_lineage : Format.formatter -> Recorder.event list -> unit
 (** Group by packet uid and print each packet's journey:
     {v
     packet uid=12 (tenant 3, flow 5): 3 events

@@ -121,6 +121,14 @@ let to_list t =
         rank = t.fields.(r + 2);
       })
 
+let kind_of_string = function
+  | "enqueue" -> Some Enqueue
+  | "dequeue" -> Some Dequeue
+  | "drop" -> Some Drop
+  | "evict" -> Some Evict
+  | "preprocess" -> Some Preprocess
+  | _ -> None
+
 let event_to_json ev =
   let opt name v rest =
     if v < 0 then rest else (name, Json.Number (float_of_int v)) :: rest
@@ -133,6 +141,37 @@ let event_to_json ev =
             (opt "tenant" ev.tenant
                (opt "flow" ev.flow
                   (opt "rank_before" ev.rank_before (opt "rank" ev.rank []))))))
+
+let event_of_json json =
+  let ( let* ) = Result.bind in
+  let int_field name =
+    match Json.member name json with
+    | None -> Ok (-1)
+    | Some v -> (
+      match Json.to_int v with
+      | Some i -> Ok i
+      | None -> Error (Printf.sprintf "field %S is not an integer" name))
+  in
+  let* time =
+    match Option.bind (Json.member "t" json) Json.to_float with
+    | Some t -> Ok t
+    | None -> Error "missing numeric field \"t\""
+  in
+  let* kind =
+    match Option.bind (Json.member "ev" json) Json.to_str with
+    | None -> Error "missing string field \"ev\""
+    | Some s -> (
+      match kind_of_string s with
+      | Some k -> Ok k
+      | None -> Error (Printf.sprintf "unknown event kind %S" s))
+  in
+  let* uid = int_field "uid" in
+  let* link = int_field "link" in
+  let* tenant = int_field "tenant" in
+  let* flow = int_field "flow" in
+  let* rank_before = int_field "rank_before" in
+  let* rank = int_field "rank" in
+  Ok { time; kind; uid; link; tenant; flow; rank_before; rank }
 
 let dump t oc =
   List.iter

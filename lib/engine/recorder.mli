@@ -13,16 +13,17 @@
     events as NDJSON ({!dump}), giving every failure a causal packet
     history next to its reproducer.
 
-    Line schema (fields are omitted when not supplied, i.e. negative):
+    {!event} is the one packet-event row: the {!Telemetry} trace sink
+    writes the same line, and {!Lineage} reads both back through
+    {!event_of_json}.  Line schema (negative fields are omitted):
 
     {v {"t":1.25e-3,"ev":"enqueue","uid":17,"link":4,"tenant":0,"flow":7,"rank":311} v} *)
 
 type kind = Enqueue | Dequeue | Drop | Evict | Preprocess
 
 val kind_to_string : kind -> string
-(** ["enqueue"], ["dequeue"], ["drop"], ["evict"], ["preprocess"] — the
-    same vocabulary the {!Telemetry} trace sink uses, so recorder dumps
-    and sampled traces join in the same lineage tooling. *)
+(** ["enqueue"], ["dequeue"], ["drop"], ["evict"], ["preprocess"]: the
+    line's ["ev"] field. *)
 
 type event = {
   time : float;
@@ -78,6 +79,12 @@ val to_list : t -> event list
 (** Held events, oldest first. *)
 
 val event_to_json : event -> Json.t
+(** The event's NDJSON line, fields in schema order. *)
+
+val event_of_json : Json.t -> (event, string) result
+(** The inverse of {!event_to_json}: requires a numeric ["t"] and an
+    ["ev"] naming one of the five kinds; an absent field reads [-1], and
+    a present one must be an integer. *)
 
 val dump : t -> out_channel -> unit
 (** Write the held events as NDJSON, oldest first, and flush.  The

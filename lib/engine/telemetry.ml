@@ -181,30 +181,17 @@ let events_seen t = match t.sink with Some s -> s.seen | None -> 0
 
 let events_written t = match t.sink with Some s -> s.written | None -> 0
 
-let event t ~time ~kind ?uid ?link ?tenant ?flow ?rank_before ?rank
-    ?(extra = []) () =
+let trace t ~time ~kind ~uid ~link ~tenant ~flow ~rank_before ~rank =
   match t.sink with
   | None -> ()
   | Some s ->
     s.seen <- s.seen + 1;
-    let keep = s.sample >= 1.0 || Rng.float s.rng < s.sample in
-    if keep then begin
+    if s.sample >= 1.0 || Rng.float s.rng < s.sample then begin
       s.written <- s.written + 1;
-      let opt name v rest =
-        match v with
-        | None -> rest
-        | Some x -> (name, Json.Number (float_of_int x)) :: rest
+      let row =
+        { Recorder.time; kind; uid; link; tenant; flow; rank_before; rank }
       in
-      let fields =
-        ("t", Json.Number time)
-        :: ("ev", Json.String kind)
-        :: opt "uid" uid
-             (opt "link" link
-                (opt "tenant" tenant
-                   (opt "flow" flow
-                      (opt "rank_before" rank_before (opt "rank" rank extra)))))
-      in
-      output_string s.oc (Json.to_string (Json.Obj fields));
+      output_string s.oc (Json.to_string (Recorder.event_to_json row));
       output_char s.oc '\n'
     end
 

@@ -16,12 +16,11 @@
       p50/p90/p99.
 
     Orthogonally, a registry may carry one {e trace sink}: an NDJSON
-    [out_channel] receiving one JSON object per sampled packet-level event
-    (enqueue / dequeue / drop / preprocess / resynthesis).  Sampling draws
-    from a dedicated {!Rng} stream, so traces are deterministic for a fixed
-    seed.  Line schema (fields absent when not supplied):
-
-    {v {"t":1.25e-3,"ev":"enqueue","link":4,"tenant":0,"flow":7,"rank":311} v} *)
+    [out_channel] receiving one {!Recorder.event} row per sampled
+    packet-level event (preprocess / enqueue / dequeue / drop / evict), in
+    {!Recorder.event_to_json}'s line schema.  Sampling draws from a
+    dedicated {!Rng} stream, so traces are deterministic for a fixed
+    seed. *)
 
 type t
 (** A metric registry (plus optional trace sink). *)
@@ -71,7 +70,7 @@ val create : unit -> t
 
 val disabled : t
 (** The shared no-op registry: handles created from it are inert dummies,
-    [event] and [attach_sink] do nothing, and [snapshot] is empty. *)
+    [trace] and [attach_sink] do nothing, and [snapshot] is empty. *)
 
 val is_enabled : t -> bool
 
@@ -102,24 +101,25 @@ val detach_sink : t -> unit
     closes it. Detaching when no sink is attached is a no-op. *)
 
 val tracing : t -> bool
-(** [true] when a sink is attached — callers use this to skip building
-    event payloads that would not be written. *)
+(** [true] when a sink is attached — the hot-path guard: callers test it
+    before {!trace}, so a registry without a sink evaluates no
+    arguments. *)
 
-val event :
+val trace :
   t ->
   time:float ->
-  kind:string ->
-  ?uid:int ->
-  ?link:int ->
-  ?tenant:int ->
-  ?flow:int ->
-  ?rank_before:int ->
-  ?rank:int ->
-  ?extra:(string * Json.t) list ->
-  unit ->
+  kind:Recorder.kind ->
+  uid:int ->
+  link:int ->
+  tenant:int ->
+  flow:int ->
+  rank_before:int ->
+  rank:int ->
   unit
-(** Offer one event to the sink: counted, then written as one NDJSON line
-    if the sampler keeps it.  No-op without a sink. *)
+(** Offer one row to the sink: counted, then written as
+    {!Recorder.event_to_json}'s line if the sampler keeps it.  Takes
+    {!Recorder.record}'s scalar fields ([-1] where a field does not
+    apply).  No-op without a sink. *)
 
 val events_seen : t -> int
 (** Events offered to the sink since attach. *)

@@ -175,6 +175,7 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) ?flight ?on_anomaly ?(slo = false)
     ?alerts ?(on_tick = fun (_ : float) -> ()) ?(perf = true) params scheme =
   Engine.Span.with_ profiler ~name:"fig4.run" @@ fun () ->
+  Sched.Packet.reset_uid_counter 0;
   let ( let* ) = Result.bind in
   let num_hosts = params.leaves * params.hosts_per_leaf in
   let topo, routing =

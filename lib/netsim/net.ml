@@ -260,18 +260,21 @@ let handle_drop t (d : Sched.Packet.t) =
   Perf.Meter.before t.m_slo;
   t.on_drop d;
   Perf.Meter.after t.m_slo;
+  (* The arrival itself is a drop; any other packet is a queued one it
+     pushed out.  The flight ring and the trace carry the same kind. *)
+  let kind =
+    if d.Sched.Packet.uid = t.cur_uid then Engine.Recorder.Drop
+    else Engine.Recorder.Evict
+  in
   (match t.flight with
   | None -> ()
   | Some fl ->
     Perf.Meter.before t.m_rec;
     Engine.Recorder.record
       fl.recorders.(t.cur_link)
-      ~time:(Engine.Sim.now t.sim)
-      ~kind:
-        (if d.Sched.Packet.uid = t.cur_uid then Engine.Recorder.Drop
-         else Engine.Recorder.Evict)
-      ~uid:d.Sched.Packet.uid ~link:t.cur_link ~tenant:d.Sched.Packet.tenant
-      ~flow:d.Sched.Packet.flow ~rank_before:(-1) ~rank:d.Sched.Packet.rank;
+      ~time:(Engine.Sim.now t.sim) ~kind ~uid:d.Sched.Packet.uid
+      ~link:t.cur_link ~tenant:d.Sched.Packet.tenant ~flow:d.Sched.Packet.flow
+      ~rank_before:(-1) ~rank:d.Sched.Packet.rank;
     Perf.Meter.after t.m_rec);
   match t.ins with
   | None -> ()
@@ -280,9 +283,9 @@ let handle_drop t (d : Sched.Packet.t) =
     Tel.Counter.incr ins.port_drop.(t.cur_link);
     Tel.Counter.incr (tenant_counters ins d.Sched.Packet.tenant).t_drop;
     if Tel.tracing ins.tel then
-      Tel.event ins.tel ~time:(Engine.Sim.now t.sim) ~kind:"drop"
+      Tel.trace ins.tel ~time:(Engine.Sim.now t.sim) ~kind
         ~uid:d.Sched.Packet.uid ~link:t.cur_link ~tenant:d.Sched.Packet.tenant
-        ~flow:d.Sched.Packet.flow ~rank:d.Sched.Packet.rank ()
+        ~flow:d.Sched.Packet.flow ~rank_before:(-1) ~rank:d.Sched.Packet.rank
 
 let refill t bucket =
   let now = Engine.Sim.now t.sim in
@@ -392,9 +395,10 @@ let rec pump t port =
         let now = Engine.Sim.now t.sim in
         Tel.Histogram.observe ins.sojourn (now -. p.Sched.Packet.enqueued_at);
         if Tel.tracing ins.tel then
-          Tel.event ins.tel ~time:now ~kind:"dequeue" ~uid:p.Sched.Packet.uid
-            ~link:link_id ~tenant ~flow:p.Sched.Packet.flow
-            ~rank:p.Sched.Packet.rank ());
+          Tel.trace ins.tel ~time:now ~kind:Engine.Recorder.Dequeue
+            ~uid:p.Sched.Packet.uid ~link:link_id ~tenant
+            ~flow:p.Sched.Packet.flow ~rank_before:(-1)
+            ~rank:p.Sched.Packet.rank);
       let tx_time = 8. *. float_of_int p.Sched.Packet.size /. port.link.Topology.rate in
       let arrival = tx_time +. port.link.Topology.delay in
       Engine.Sim.schedule_after_ t.sim ~delay:tx_time port.tx_done;
@@ -444,12 +448,13 @@ and enqueue t port p =
     if Tel.tracing ins.tel then begin
       let now = Engine.Sim.now t.sim in
       if t.has_preprocess then
-        Tel.event ins.tel ~time:now ~kind:"preprocess" ~uid:p.Sched.Packet.uid
-          ~link:link_id ~tenant ~flow:p.Sched.Packet.flow
-          ~rank_before:p.Sched.Packet.label ~rank:p.Sched.Packet.rank ();
-      Tel.event ins.tel ~time:now ~kind:"enqueue" ~uid:p.Sched.Packet.uid
-        ~link:link_id ~tenant ~flow:p.Sched.Packet.flow
-        ~rank:p.Sched.Packet.rank ()
+        Tel.trace ins.tel ~time:now ~kind:Engine.Recorder.Preprocess
+          ~uid:p.Sched.Packet.uid ~link:link_id ~tenant
+          ~flow:p.Sched.Packet.flow ~rank_before:p.Sched.Packet.label
+          ~rank:p.Sched.Packet.rank;
+      Tel.trace ins.tel ~time:now ~kind:Engine.Recorder.Enqueue
+        ~uid:p.Sched.Packet.uid ~link:link_id ~tenant ~flow:p.Sched.Packet.flow
+        ~rank_before:(-1) ~rank:p.Sched.Packet.rank
     end);
   t.cur_uid <- p.Sched.Packet.uid;
   t.cur_link <- link_id;

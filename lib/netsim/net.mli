@@ -106,8 +106,10 @@ val create :
     aggregates), a queue-depth histogram [net.queue_depth_pkts] sampled
     after each enqueue, and a sojourn-time histogram [net.sojourn_seconds]
     observed as packets start transmission.  When the registry carries a
-    trace sink, each enqueue/dequeue/drop — and, if a [preprocess] hook is
-    installed, each rank rewrite — is offered as a sampled NDJSON event.
+    trace sink, each enqueue/dequeue/drop/evict — and, if a [preprocess]
+    hook is installed, each rank rewrite — is offered to it as an
+    {!Engine.Recorder.event} row, with the same kind the flight ring
+    records.
     @raise Invalid_argument on a shaper with non-positive rate or a burst
     smaller than one full packet (1518 bytes). *)
 

@@ -41,10 +41,9 @@ let create ~sim ~telemetry ~health ~guard ~capacity_pkts ~link_rate ~rho plan =
     let envelopes = List.map envelope (plan_tenants plan) in
     Slo.create ~objectives:(Slo.derive ~plan ~envelopes ~link_rate ()) ()
   in
-  let clock () = Engine.Sim.now sim in
   let tenants = plan_tenants plan in
   let guard =
-    if guard then Some (Guard.create ~telemetry ~clock ~tenants ()) else None
+    if guard then Some (Guard.create ~telemetry ~tenants ()) else None
   in
   let t =
     {

@@ -34,7 +34,6 @@ type tenant_state = {
 (* Verdict-transition instruments: counters tick when a tenant *enters*
    Suspicious or Malicious (not on every dirty window). *)
 type instruments = {
-  tel : Engine.Telemetry.t;
   suspicious : Engine.Telemetry.Counter.t;
   malicious : Engine.Telemetry.Counter.t;
 }
@@ -46,7 +45,6 @@ type t = {
      [watch] grows the array as churn brings higher ids. *)
   mutable states : tenant_state option array;
   ins : instruments option;
-  clock : unit -> float;
 }
 
 let fresh_state spec =
@@ -61,8 +59,7 @@ let fresh_state spec =
     conditioning = Transform.Identity;
   }
 
-let create ?(config = default_config) ?telemetry ?(clock = fun () -> 0.)
-    ~tenants () =
+let create ?(config = default_config) ?telemetry ?clock:_ ~tenants () =
   if config.window <= 0 then invalid_arg "Guard.create: window <= 0";
   let max_id =
     List.fold_left (fun m spec -> Stdlib.max m spec.Tenant.id) (-1) tenants
@@ -76,13 +73,12 @@ let create ?(config = default_config) ?telemetry ?(clock = fun () -> 0.)
     | Some tel when Engine.Telemetry.is_enabled tel ->
       Some
         {
-          tel;
           suspicious = Engine.Telemetry.counter tel "guard.suspicious";
           malicious = Engine.Telemetry.counter tel "guard.malicious";
         }
     | Some _ | None -> None
   in
-  { config; states; ins; clock }
+  { config; states; ins }
 
 let state t id =
   if id >= 0 && id < Array.length t.states then Array.unsafe_get t.states id
@@ -131,26 +127,8 @@ let close_window t s =
   let after = level s.strikes in
   (match t.ins with
   | Some ins when after > before ->
-    let verdict_name = if after = 2 then "malicious" else "suspicious" in
     Engine.Telemetry.Counter.incr
-      (if after = 2 then ins.malicious else ins.suspicious);
-    if Engine.Telemetry.tracing ins.tel then
-      Engine.Telemetry.event ins.tel ~time:(t.clock ()) ~kind:"guard"
-        ~tenant:s.spec.Tenant.id
-        ~extra:
-          [
-            ("verdict", Engine.Json.String verdict_name);
-            ( "reasons",
-              Engine.Json.List
-                (List.map
-                   (fun r ->
-                     Engine.Json.String
-                       (match r with
-                       | Out_of_range _ -> "out_of_range"
-                       | Top_band_flooding _ -> "top_band_flooding"))
-                   reasons) );
-          ]
-        ()
+      (if after = 2 then ins.malicious else ins.suspicious)
   | Some _ | None -> ());
   s.last_reasons <- reasons;
   s.in_window <- 0;

@@ -55,10 +55,8 @@ val create :
   t
 (** With [telemetry], verdict {e transitions} feed the metrics layer:
     [guard.suspicious] / [guard.malicious] count each entry into the
-    respective verdict (re-entry after recovery counts again), and a
-    ["guard"] trace event carrying the verdict and reason kinds is
-    offered to the trace sink.  [clock] (default: constant [0.])
-    timestamps those events — pass the simulator clock. *)
+    respective verdict (re-entry after recovery counts again).  [clock]
+    is ignored; it stays only because [perfbench/fig4w.ml] passes it. *)
 
 val observe : t -> Sched.Packet.t -> unit
 (** Feed one packet: the guard reads the tenant's immutable rank

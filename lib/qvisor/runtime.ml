@@ -11,8 +11,6 @@ type t = {
   mutable observed : observation option array;
   observed_neg : (int, observation) Hashtbl.t;
   mutable resyntheses : int;
-  tel : Engine.Telemetry.t;
-  clock : unit -> float;
   resynthesis_count : Engine.Telemetry.Counter.t;
 }
 
@@ -20,8 +18,7 @@ let synthesize_now config tenants policy =
   Synthesizer.synthesize ~config ~tenants ~policy ()
 
 let create ?(config = Synthesizer.default_config)
-    ?(telemetry = Engine.Telemetry.disabled) ?(clock = fun () -> 0.) ~tenants
-    ~policy () =
+    ?(telemetry = Engine.Telemetry.disabled) ~tenants ~policy () =
   match synthesize_now config tenants policy with
   | Error e -> Error e
   | Ok plan ->
@@ -34,14 +31,12 @@ let create ?(config = Synthesizer.default_config)
         observed = Array.make 16 None;
         observed_neg = Hashtbl.create 1;
         resyntheses = 0;
-        tel = telemetry;
-        clock;
         resynthesis_count =
           Engine.Telemetry.counter telemetry "runtime.resyntheses";
       }
 
-let create_exn ?config ?telemetry ?clock ~tenants ~policy () =
-  match create ?config ?telemetry ?clock ~tenants ~policy () with
+let create_exn ?config ?telemetry ~tenants ~policy () =
+  match create ?config ?telemetry ~tenants ~policy () with
   | Ok t -> t
   | Error e -> invalid_arg ("Runtime.create: " ^ Error.to_string e)
 
@@ -96,16 +91,6 @@ let redeploy t tenants policy =
     Preprocessor.swap_plan t.pre plan;
     t.resyntheses <- t.resyntheses + 1;
     Engine.Telemetry.Counter.incr t.resynthesis_count;
-    if Engine.Telemetry.tracing t.tel then
-      Engine.Telemetry.event t.tel ~time:(t.clock ()) ~kind:"resynthesis"
-        ~extra:
-          [
-            ( "tenants",
-              Engine.Json.Number (float_of_int (List.length tenants)) );
-            ( "policy",
-              Engine.Json.String (Policy.to_string policy) );
-          ]
-        ();
     Ok ()
 
 let add_tenant t tenant ?policy () =

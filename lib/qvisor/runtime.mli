@@ -12,7 +12,6 @@ type t
 val create :
   ?config:Synthesizer.config ->
   ?telemetry:Engine.Telemetry.t ->
-  ?clock:(unit -> float) ->
   tenants:Tenant.t list ->
   policy:Policy.t ->
   unit ->
@@ -22,15 +21,11 @@ val create :
     one.
 
     [telemetry] (default: off) is threaded to the pre-processor and
-    counts every successful re-synthesis under [runtime.resyntheses];
-    when the registry carries a trace sink, each re-synthesis is offered
-    as a ["resynthesis"] event stamped with [clock ()] (default [0.] —
-    pass [fun () -> Engine.Sim.now sim] inside a simulation). *)
+    counts every successful re-synthesis under [runtime.resyntheses]. *)
 
 val create_exn :
   ?config:Synthesizer.config ->
   ?telemetry:Engine.Telemetry.t ->
-  ?clock:(unit -> float) ->
   tenants:Tenant.t list ->
   policy:Policy.t ->
   unit ->

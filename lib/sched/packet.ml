@@ -27,7 +27,7 @@ let header_bytes = 58
    counter would interleave differently on every run). *)
 let uid_counter = Domain.DLS.new_key (fun () -> ref 0)
 
-let reset_uid_counter () = Domain.DLS.get uid_counter := 0
+let reset_uid_counter start = Domain.DLS.get uid_counter := start
 
 let make ?(kind = Data) ?(tenant = 0) ?(src = 0) ?(dst = 0) ?(seq = 0) ?payload
     ?remaining ?(deadline = infinity) ?(created_at = 0.) ?(rank = 0) ~flow

@@ -64,8 +64,9 @@ val compare_rank : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val reset_uid_counter : unit -> unit
-(** Reset the calling domain's uid counter — for deterministic unit
-    tests only.  The counter is domain-local so that independent
-    simulations on parallel worker domains allocate uids (the rank
-    tie-breaker) deterministically. *)
+val reset_uid_counter : int -> unit
+(** [reset_uid_counter start]: the calling domain's next packet gets uid
+    [start + 1].  The counter is domain-local, so a simulation that
+    resets it first numbers its packets the same whatever ran before it
+    on that domain, which keeps traces independent of the worker
+    count. *)

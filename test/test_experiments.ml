@@ -109,40 +109,68 @@ let sweep_schemes =
     Experiments.Fig4.Qvisor_policy "pfabric >> edf";
   ]
 
-(* Run the sweep with per-job registries and merge them in job order —
-   the same shape bin/experiments.exe uses — returning the stripped
-   result rows and the merged snapshot. *)
+(* Run the sweep with per-job registries, each with a private trace sink
+   sampled at 5% and seeded by its job, and merge them in job order — the
+   same shape bin/experiments.exe uses — returning the stripped result
+   rows, the merged snapshot and the joined trace. *)
 let sweep_with ~jobs =
   let grid =
     Experiments.Fig4.jobs_of_grid tiny_params ~loads:sweep_loads
       ~schemes:sweep_schemes
   in
-  let tels =
+  let slots =
     List.map
-      (fun j -> (j.Experiments.Fig4.index, Engine.Telemetry.create ()))
+      (fun j ->
+        let tel = Engine.Telemetry.create () in
+        let path = Filename.temp_file "qvisor_sweep" ".ndjson" in
+        let oc = open_out_bin path in
+        Engine.Telemetry.attach_sink tel ~sample:0.05
+          ~seed:j.Experiments.Fig4.job_seed oc;
+        (j.Experiments.Fig4.index, (tel, path, oc)))
       grid
   in
-  let telemetry_for j = List.assoc j.Experiments.Fig4.index tels in
-  match Experiments.Fig4.run_jobs ~jobs ~telemetry_for tiny_params grid with
+  let telemetry_for j =
+    let tel, _, _ = List.assoc j.Experiments.Fig4.index slots in
+    tel
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, (_, path, _)) -> Sys.remove path) slots)
+  @@ fun () ->
+  let outcome = Experiments.Fig4.run_jobs ~jobs ~telemetry_for tiny_params grid in
+  let merged = Engine.Telemetry.create () in
+  let trace = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (_, (tel, path, oc)) ->
+      Engine.Telemetry.merge_into ~into:merged tel;
+      Engine.Telemetry.detach_sink tel;
+      close_out oc;
+      Buffer.add_string trace (In_channel.with_open_bin path In_channel.input_all))
+    slots;
+  match outcome with
   | Error e -> Alcotest.failf "sweep failed: %s" (Qvisor.Error.to_string e)
   | Ok results ->
-    let merged = Engine.Telemetry.create () in
-    List.iter
-      (fun (_, tel) -> Engine.Telemetry.merge_into ~into:merged tel)
-      tels;
     Engine.Telemetry.Gauge.set
       (Engine.Telemetry.gauge merged "sim.wall_seconds")
       0.;
     ( List.map strip results,
-      Engine.Json.to_string (Engine.Telemetry.snapshot merged) )
+      Engine.Json.to_string (Engine.Telemetry.snapshot merged),
+      Buffer.contents trace )
 
 let test_jobs_invariant_results () =
-  let serial, snap1 = sweep_with ~jobs:1 in
-  let four, snap4 = sweep_with ~jobs:4 in
+  let serial, snap1, trace1 = sweep_with ~jobs:1 in
+  let four, snap4, trace4 = sweep_with ~jobs:4 in
   Alcotest.(check (list string)) "identical CSV rows"
     (List.map Experiments.Export.fig4_row serial)
     (List.map Experiments.Export.fig4_row four);
-  Alcotest.(check string) "identical merged telemetry" snap1 snap4
+  Alcotest.(check string) "identical merged telemetry" snap1 snap4;
+  (* Compared as digests: the traces run to megabytes. *)
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "identical trace" (digest trace1) (digest trace4);
+  (* Golden pin on the fixed-seed trace: any change to a traced row, or
+     to which packets the sampler keeps, shows here. *)
+  Alcotest.(check string) "golden trace digest"
+    "f77f2ab29def08fc31edd942b8660215" (digest trace1)
 
 let test_jobs_of_grid_order_and_seeds () =
   let grid =

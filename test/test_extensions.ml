@@ -268,7 +268,7 @@ let test_guard_mitigation_ladder () =
 let test_guard_end_to_end_protection () =
   (* A malicious tenant hammering rank 0 cannot keep beating an honest
      tenant once the guard trips, even when both share a band. *)
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let honest = mk_tenant ~rank_lo:0 ~rank_hi:100 1 "honest" in
   let attacker = mk_tenant ~rank_lo:0 ~rank_hi:100 2 "attacker" in
   let plan =

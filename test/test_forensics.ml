@@ -58,14 +58,29 @@ let test_ring_disabled () =
   Alcotest.(check int) "record is a no-op" 0 (Rec.seen Rec.disabled);
   Alcotest.(check int) "capacity 0" 0 (Rec.capacity Rec.disabled)
 
+let kind_names events =
+  List.map (fun (e : Rec.event) -> Rec.kind_to_string e.Rec.kind) events
+
 let test_dump_lineage_roundtrip () =
   let r = Rec.create ~capacity:8 () in
   Rec.record r ~time:1.5 ~kind:Rec.Preprocess ~uid:3 ~link:0 ~tenant:1
     ~flow:1 ~rank_before:17 ~rank:42;
   Rec.record r ~time:1.5 ~kind:Rec.Enqueue ~uid:3 ~link:0 ~tenant:1 ~flow:1
     ~rank_before:(-1) ~rank:42;
+  Rec.record r ~time:1.75 ~kind:Rec.Evict ~uid:3 ~link:0 ~tenant:1 ~flow:1
+    ~rank_before:(-1) ~rank:42;
+  Rec.record r ~time:2.0 ~kind:Rec.Dequeue ~uid:4 ~link:0 ~tenant:0 ~flow:2
+    ~rank_before:(-1) ~rank:7;
   Rec.record r ~time:2.25 ~kind:Rec.Drop ~uid:3 ~link:0 ~tenant:1 ~flow:1
     ~rank_before:(-1) ~rank:(-1);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s row survives the codec"
+           (Rec.kind_to_string e.Rec.kind))
+        true
+        (Rec.event_of_json (Rec.event_to_json e) = Ok e))
+    (Rec.to_list r);
   with_temp_file (fun path ->
       let oc = open_out path in
       Rec.dump r oc;
@@ -73,18 +88,18 @@ let test_dump_lineage_roundtrip () =
       match Lin.load_file path with
       | Error e -> Alcotest.failf "load_file: %s" e
       | Ok events ->
-        Alcotest.(check int) "all lines parse" 3 (List.length events);
+        Alcotest.(check bool) "the file holds the ring" true
+          (events = Rec.to_list r);
         Alcotest.(check (list string))
           "stages in dump order"
-          [ "preprocess"; "enqueue"; "drop" ]
-          (List.map (fun (e : Lin.event) -> e.Lin.ev) events);
+          [ "preprocess"; "enqueue"; "evict"; "dequeue"; "drop" ]
+          (kind_names events);
         let pre = List.hd events in
-        Alcotest.(check (option int)) "rank_before kept" (Some 17)
-          pre.Lin.rank_before;
-        let drop = List.nth events 2 in
-        Alcotest.(check (option int)) "negative fields omitted" None
-          drop.Lin.rank;
-        Alcotest.(check (option int)) "uid kept" (Some 3) drop.Lin.uid)
+        Alcotest.(check int) "rank_before kept" 17 pre.Rec.rank_before;
+        let drop = List.nth events 4 in
+        Alcotest.(check int) "negative fields read back as -1" (-1)
+          drop.Rec.rank;
+        Alcotest.(check int) "uid kept" 3 drop.Rec.uid)
 
 (* ------------------------------------------------------------------ *)
 (* Anomaly trigger                                                    *)
@@ -279,8 +294,8 @@ let test_lineage_golden_load () =
   let events = load_golden () in
   Alcotest.(check int) "blank line skipped, six events" 6
     (List.length events);
-  let uids = List.filter_map (fun (e : Lin.event) -> e.Lin.uid) events in
-  Alcotest.(check (list int)) "file order kept" [ 12; 12; 13; 13; 12 ] uids
+  let uids = List.map (fun (e : Rec.event) -> e.Rec.uid) events in
+  Alcotest.(check (list int)) "file order kept" [ 12; 12; 13; 13; 12; -1 ] uids
 
 let test_lineage_query_uid () =
   let events = load_golden () in
@@ -288,21 +303,20 @@ let test_lineage_query_uid () =
   Alcotest.(check (list string))
     "stage-by-stage journey"
     [ "preprocess"; "enqueue"; "dequeue" ]
-    (List.map (fun (e : Lin.event) -> e.Lin.ev) journey);
+    (kind_names journey);
   (* Same-timestamp stages keep recorded order: preprocess first. *)
   let first = List.hd journey in
-  Alcotest.(check (option int)) "rank journey start" (Some 17)
-    first.Lin.rank_before;
-  Alcotest.(check (option int)) "rank journey end" (Some 42) first.Lin.rank
+  Alcotest.(check int) "rank journey start" 17 first.Rec.rank_before;
+  Alcotest.(check int) "rank journey end" 42 first.Rec.rank
 
 let test_lineage_grouping_and_filters () =
   let events = load_golden () in
   let all = Lin.lineage events in
   (* Grouped by uid (12 then 13 by first appearance), uid-less last. *)
-  let uids = List.map (fun (e : Lin.event) -> e.Lin.uid) all in
-  Alcotest.(check (list (option int)))
+  let uids = List.map (fun (e : Rec.event) -> e.Rec.uid) all in
+  Alcotest.(check (list int))
     "per-packet grouping, uid-less last"
-    [ Some 12; Some 12; Some 12; Some 13; Some 13; None ]
+    [ 12; 12; 12; 13; 13; -1 ]
     uids;
   Alcotest.(check int) "tenant filter" 3
     (List.length (Lin.lineage ~tenant:3 events));
@@ -313,21 +327,25 @@ let test_lineage_grouping_and_filters () =
     (Lin.matches ~tenant:3 (List.nth events 5))
 
 let test_lineage_rejects_malformed () =
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc "{\"t\":1.0,\"ev\":\"enqueue\"}\nnot json\n";
-      close_out oc;
-      match Lin.load_file path with
-      | Ok _ -> Alcotest.fail "malformed line accepted"
-      | Error e ->
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "error names line 2: %s" e)
-          true (contains e "line 2"))
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  (* Not JSON, and JSON whose "ev" names no packet-event kind. *)
+  List.iter
+    (fun bad ->
+      with_temp_file (fun path ->
+          let oc = open_out path in
+          output_string oc ("{\"t\":1.0,\"ev\":\"enqueue\"}\n" ^ bad ^ "\n");
+          close_out oc;
+          match Lin.load_file path with
+          | Ok _ -> Alcotest.failf "malformed line accepted: %s" bad
+          | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "error names line 2: %s" e)
+              true (contains e "line 2")))
+    [ "not json"; {|{"t":1,"ev":"guard"}|} ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry satellites                                               *)
@@ -360,7 +378,8 @@ let test_attach_sink_replacement_flushes () =
           let tel = Tel.create () in
           let oc1 = open_out path1 and oc2 = open_out path2 in
           Tel.attach_sink tel oc1;
-          Tel.event tel ~time:1.0 ~kind:"enqueue" ~uid:1 ();
+          Tel.trace tel ~time:1.0 ~kind:Rec.Enqueue ~uid:1 ~link:(-1)
+            ~tenant:(-1) ~flow:(-1) ~rank_before:(-1) ~rank:(-1);
           (* Replacing the sink must flush the old one: the caller still
              owns oc1 and may close it without losing lines. *)
           Tel.attach_sink tel oc2;
@@ -375,7 +394,8 @@ let test_attach_sink_replacement_flushes () =
           in
           Alcotest.(check int) "old sink flushed on replace" 1
             (List.length (lines path1));
-          Tel.event tel ~time:2.0 ~kind:"dequeue" ~uid:1 ();
+          Tel.trace tel ~time:2.0 ~kind:Rec.Dequeue ~uid:1 ~link:(-1)
+            ~tenant:(-1) ~flow:(-1) ~rank_before:(-1) ~rank:(-1);
           (* The counter is per-sink: the replacement starts fresh. *)
           Alcotest.(check int) "replacement sink saw one event" 1
             (Tel.events_written tel);

@@ -480,7 +480,7 @@ let test_preprocessor_counters () =
    Expected: all T1 packets first (in rank order), then T2/T3 interleaved
    fairly in their own rank orders. *)
 let test_fig3_end_to_end () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let plan = synth (three_tenants ()) "T1 >> T2 + T3" in
   let pre = Qvisor.Preprocessor.of_plan plan in
   let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
@@ -526,7 +526,7 @@ let test_fig3_naive_clash () =
   (* Without QVISOR the same packets clash: raw EDF ranks {1,3} and FQ
      ranks {3,5} beat pFabric's {7,8,9} even though the operator wants T1
      on top. *)
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
   let offer tenant rank =
     ignore (pifo.Sched.Qdisc.enqueue (mk_packet ~tenant ~rank))
@@ -672,7 +672,7 @@ let test_deploy_too_few_queues () =
     Alcotest.failf "wrong error kind: %s" (Qvisor.Error.to_string e)
 
 let test_deploy_sp_bank_preserves_strict () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let plan = synth (three_tenants ()) "T1 >> T2 + T3" in
   let pre = Qvisor.Preprocessor.of_plan plan in
   let q =

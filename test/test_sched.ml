@@ -24,7 +24,7 @@ let test_packet_uids_unique () =
   Alcotest.(check bool) "distinct uids" true (a.Sched.Packet.uid <> b.Sched.Packet.uid)
 
 let test_packet_compare_rank () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let a = mk ~rank:5 () in
   let b = mk ~rank:3 () in
   let c = mk ~rank:5 () in
@@ -79,7 +79,7 @@ let test_pifo_rank_order () =
     (ranks_of (Sched.Qdisc.drain q))
 
 let test_pifo_stable_ties () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q = Sched.Pifo_queue.create ~capacity_pkts:10 () in
   let ps = List.init 5 (fun _ -> mk ~rank:4 ()) in
   List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
@@ -174,7 +174,7 @@ let test_bucket_rank_order () =
     (ranks_of (Sched.Qdisc.drain q))
 
 let test_bucket_stable_ties () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q = Sched.Bucket_queue.create ~capacity_pkts:10 () in
   let ps = List.init 5 (fun _ -> mk ~rank:4 ()) in
   List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
@@ -252,7 +252,7 @@ let prop_bucket_matches_pifo_map =
       let run (q : Sched.Qdisc.t) =
         (* Replay under a reset uid counter so both backends see packets
            with identical uids. *)
-        Sched.Packet.reset_uid_counter ();
+        Sched.Packet.reset_uid_counter 0;
         let trace = ref [] in
         List.iter
           (fun op ->
@@ -291,7 +291,7 @@ let test_sp_bank_strict_priority () =
     (ranks_of (Sched.Qdisc.drain q))
 
 let test_sp_bank_fifo_within_queue () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q =
     Sched.Sp_bank.create ~num_queues:2 ~queue_capacity_pkts:10
       ~classify:(fun _ -> 0) ()
@@ -360,7 +360,7 @@ let test_sp_pifo_reduces_inversions () =
     Alcotest.failf "sp-pifo (%d) not better than fifo (%d)" i_sp i_fifo
 
 let test_sp_pifo_single_queue_is_fifo () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q = Sched.Sp_pifo.create ~num_queues:1 ~queue_capacity_pkts:10 () in
   let ps = List.init 4 (fun i -> mk ~rank:(4 - i) ()) in
   List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
@@ -453,7 +453,7 @@ let test_aifo_admits_when_empty () =
   Alcotest.(check int) "first packet admitted" 0 (List.length d)
 
 let test_aifo_serves_fifo () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q = Sched.Aifo.create ~capacity_pkts:100 () in
   let ps = List.init 5 (fun i -> mk ~rank:i ()) in
   List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
@@ -610,7 +610,7 @@ let test_calendar_orders_by_bucket () =
     (ranks_of (Sched.Qdisc.drain q))
 
 let test_calendar_fifo_within_bucket () =
-  Sched.Packet.reset_uid_counter ();
+  Sched.Packet.reset_uid_counter 0;
   let q =
     Sched.Calendar_queue.create ~num_buckets:4 ~bucket_width:100
       ~capacity_pkts:64 ()

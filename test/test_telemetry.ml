@@ -56,7 +56,8 @@ let test_disabled_registry () =
       let oc = open_out path in
       Tel.attach_sink tel oc;
       Alcotest.(check bool) "not tracing" false (Tel.tracing tel);
-      Tel.event tel ~time:0. ~kind:"enqueue" ();
+      Tel.trace tel ~time:0. ~kind:Engine.Recorder.Enqueue ~uid:1 ~link:(-1)
+        ~tenant:(-1) ~flow:(-1) ~rank_before:(-1) ~rank:(-1);
       Alcotest.(check int) "no events" 0 (Tel.events_seen tel);
       close_out oc);
   match Tel.snapshot tel with
@@ -132,10 +133,10 @@ let run_sink ?sample ?seed n =
       let oc = open_out path in
       Tel.attach_sink tel ?sample ?seed oc;
       for i = 0 to n - 1 do
-        Tel.event tel
+        Tel.trace tel
           ~time:(float_of_int i *. 1e-3)
-          ~kind:"enqueue" ~link:(i mod 4) ~tenant:(i mod 2) ~flow:i ~rank:(i * 3)
-          ()
+          ~kind:Engine.Recorder.Enqueue ~uid:(-1) ~link:(i mod 4)
+          ~tenant:(i mod 2) ~flow:i ~rank_before:(-1) ~rank:(i * 3)
       done;
       let seen = Tel.events_seen tel in
       let written = Tel.events_written tel in
@@ -248,6 +249,59 @@ let test_instrumented_net_counters () =
   Alcotest.(check int) "one depth sample per enqueue" (v "net.enqueue")
     (Tel.Histogram.count depth);
   Alcotest.(check bool) "some events fired" true (Engine.Sim.events_fired sim > 0)
+
+(* A full PIFO port either drops the arrival or evicts a queued packet;
+   the trace must tell the two apart, as the flight recorder does. *)
+let test_trace_labels_evictions () =
+  let topo = Netsim.Topology.create ~num_hosts:2 ~num_switches:1 in
+  ignore (Netsim.Topology.add_duplex topo ~a:0 ~b:2 ~rate:1e9 ~delay:1e-6);
+  ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay:1e-6);
+  let routing = Netsim.Routing.compute topo in
+  let sim = Engine.Sim.create () in
+  let path = Filename.temp_file "qvisor_tel" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let tel = Tel.create () in
+      let oc = open_out path in
+      Tel.attach_sink tel ~sample:1.0 oc;
+      let net =
+        Netsim.Net.create ~sim ~topo ~routing
+          ~make_qdisc:(fun _ ->
+            Sched.Bucket_queue.create ~rank_max:15 ~capacity_pkts:1 ())
+          ~telemetry:tel
+          ~deliver:(fun _ -> ())
+          ()
+      in
+      let send rank =
+        let p = Sched.Packet.make ~src:0 ~dst:1 ~rank ~flow:1 ~size:1250 () in
+        Netsim.Net.inject net p;
+        p.Sched.Packet.uid
+      in
+      (* The first packet goes straight onto the wire; the second fills
+         the one-packet queue behind it. *)
+      let _on_wire = send 5 in
+      let queued = send 5 in
+      let worse = send 9 in
+      let _better = send 1 in
+      Engine.Sim.run sim;
+      Tel.detach_sink tel;
+      close_out oc;
+      match Engine.Lineage.load_file path with
+      | Error e -> Alcotest.failf "trace does not load: %s" e
+      | Ok events ->
+        let losses =
+          List.filter_map
+            (fun (e : Engine.Recorder.event) ->
+              match e.kind with
+              | Drop | Evict -> Some (Engine.Recorder.kind_to_string e.kind, e.uid)
+              | Enqueue | Dequeue | Preprocess -> None)
+            events
+        in
+        Alcotest.(check (list (pair string int)))
+          "worse arrival dropped, queued packet evicted"
+          [ ("drop", worse); ("evict", queued) ]
+          losses)
 
 let test_instrumented_preprocessor () =
   let tel = Tel.create () in
@@ -558,6 +612,8 @@ let () =
         [
           Alcotest.test_case "instrumented net" `Quick
             test_instrumented_net_counters;
+          Alcotest.test_case "trace labels evictions" `Quick
+            test_trace_labels_evictions;
           Alcotest.test_case "instrumented preprocessor" `Quick
             test_instrumented_preprocessor;
         ] );
