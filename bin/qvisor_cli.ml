@@ -969,7 +969,9 @@ let serve_cmd =
   in
   let slice_arg =
     let doc =
-      "Simulated time served per event-loop iteration (e.g. 10ms, 1s)."
+      "Simulated time between health/SLO ticks and snapshots (e.g. 10ms, \
+       1s).  Requests are answered between chunks of events, not at slice \
+       ends."
     in
     Arg.(
       value & opt Cliopts.duration 0.01 & info [ "slice" ] ~docv:"DURATION" ~doc)

@@ -33,6 +33,11 @@ let deadline_flow_bytes = 14_600 (* ten full payloads per deadline flow *)
    client can pin and the cost of rescanning for the line or head end. *)
 let max_pending_bytes = 65_536
 
+(* Events simulated between two polls of the sockets: about a millisecond
+   of host work at the daemon's ~630 ns per event, so a request waits at
+   most one chunk rather than one slice. *)
+let chunk_events = 2048
+
 let default_config =
   {
     socket_path = "qvisor.sock";
@@ -56,7 +61,10 @@ let default_config =
 type conn = {
   fd : Unix.file_descr;
   kind : [ `Ctl | `Http ];
-  pending : Buffer.t;
+  pending : Buffer.t;  (* input not answered yet *)
+  out : string Queue.t;  (* replies the socket has not taken yet *)
+  mutable out_off : int;  (* bytes of [out]'s head already written *)
+  mutable closing : bool;  (* close once [out] has drained *)
   mutable closed : bool;
 }
 
@@ -79,6 +87,9 @@ type t = {
   http_listen : Unix.file_descr;
   bound_port : int;
   mutable conns : conn list;
+  read_buf : Bytes.t;
+      (* every socket read lands here first: a fresh 4 KiB block per read
+         would be allocated straight in the major heap *)
   mutable draining : bool;
   mutable stopping : bool;
   mutable remediations : int;
@@ -568,22 +579,33 @@ let query_body t params =
 (* Sockets                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ignore (Unix.select [] [ fd ] [] 0.05);
-      write_all fd s off len
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-let send fd s = write_all fd s 0 (String.length s)
-
 let close_conn c =
   if not c.closed then begin
     c.closed <- true;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
+
+(* Write what the socket takes of [c]'s queued replies without blocking,
+   and close [c] once they have drained if it is [closing].  A client that
+   stops reading keeps its replies queued; [poll] flushes them when the
+   socket turns writable and reads nothing more from it until then. *)
+let flush_conn c =
+  let rec go () =
+    match Queue.peek_opt c.out with
+    | None -> if c.closing then close_conn c
+    | Some s -> (
+      let len = String.length s - c.out_off in
+      match Unix.single_write_substring c.fd s c.out_off len with
+      | n when n = len ->
+        ignore (Queue.pop c.out);
+        c.out_off <- 0;
+        go ()
+      | n -> c.out_off <- c.out_off + n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error _ -> close_conn c)
+  in
+  if not c.closed then go ()
 
 let bind_control path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -641,10 +663,9 @@ let process_control_lines t c =
           | Error e -> Error e
           | Ok req -> handle_request t req
         in
-        try send c.fd (Proto.outcome_line outcome)
-        with Unix.Unix_error _ -> close_conn c
+        Queue.add (Proto.outcome_line outcome) c.out
       end;
-      if not c.closed then from (i + 1)
+      from (i + 1)
   in
   from 0
 
@@ -670,12 +691,12 @@ let serve_http t c =
         | _ -> Http.not_found)
       | Ok _ -> Http.method_not_allowed
     in
-    (try send c.fd resp with Unix.Unix_error _ -> ());
-    close_conn c
+    Queue.add resp c.out;
+    c.closing <- true
   end
 
 (* A client whose unanswered input outgrows [max_pending_bytes] gets a
-   typed refusal and is closed. *)
+   typed refusal and is closed once the refusal is written. *)
 let refuse c =
   let answer =
     match c.kind with
@@ -688,49 +709,70 @@ let refuse c =
       Http.bad_request
         (Printf.sprintf "request head exceeds %d bytes" max_pending_bytes)
   in
-  (try send c.fd answer with Unix.Unix_error _ -> ());
-  close_conn c
+  Queue.add answer c.out;
+  c.closing <- true
 
 let read_conn t c =
-  let bytes = Bytes.create 4096 in
-  match Unix.read c.fd bytes 0 4096 with
+  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> close_conn c
   | n ->
-    Buffer.add_subbytes c.pending bytes 0 n;
+    Buffer.add_subbytes c.pending t.read_buf 0 n;
     (match c.kind with
     | `Ctl -> process_control_lines t c
     | `Http -> serve_http t c);
-    if (not c.closed) && Buffer.length c.pending > max_pending_bytes then
-      refuse c
+    if (not c.closing) && Buffer.length c.pending > max_pending_bytes then
+      refuse c;
+    flush_conn c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
   | exception Unix.Unix_error (_, _, _) -> close_conn c
 
+(* A new connection is read at once: a client that connects and sends
+   its request together is answered in the same poll. *)
 let rec accept_all t kind fd =
   match Unix.accept ~cloexec:true fd with
   | cfd, _ ->
     Unix.set_nonblock cfd;
-    t.conns <-
-      { fd = cfd; kind; pending = Buffer.create 256; closed = false } :: t.conns;
+    let c =
+      {
+        fd = cfd;
+        kind;
+        pending = Buffer.create 256;
+        out = Queue.create ();
+        out_off = 0;
+        closing = false;
+        closed = false;
+      }
+    in
+    t.conns <- c :: t.conns;
+    read_conn t c;
     accept_all t kind fd
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
 
+(* Read only connections whose replies have drained, and wait for the
+   others to turn writable: a client that stops reading holds back only
+   itself. *)
 let poll t ~timeout =
-  let fds =
-    t.ctl_listen :: t.http_listen
-    :: List.filter_map (fun c -> if c.closed then None else Some c.fd) t.conns
+  let readers, writers =
+    List.fold_left
+      (fun (rs, ws) c ->
+        if Queue.is_empty c.out then (c.fd :: rs, ws) else (rs, c.fd :: ws))
+      ([ t.ctl_listen; t.http_listen ], [])
+      t.conns
   in
-  match Unix.select fds [] [] timeout with
+  match Unix.select readers writers [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | readable, _, _ ->
+  | readable, writable, _ ->
+    List.iter
+      (fun c ->
+        if List.memq c.fd writable then flush_conn c
+        else if List.memq c.fd readable then read_conn t c)
+      t.conns;
     if List.memq t.ctl_listen readable then accept_all t `Ctl t.ctl_listen;
     if List.memq t.http_listen readable then accept_all t `Http t.http_listen;
-    List.iter
-      (fun c -> if (not c.closed) && List.memq c.fd readable then read_conn t c)
-      t.conns;
     t.conns <- List.filter (fun c -> not c.closed) t.conns
 
 (* ------------------------------------------------------------------ *)
@@ -845,6 +887,7 @@ let create config =
       http_listen;
       bound_port;
       conns = [];
+      read_buf = Bytes.create 4096;
       draining = false;
       stopping = false;
       remediations = 0;
@@ -855,7 +898,12 @@ let create config =
   Ok t
 
 let cleanup t =
-  List.iter close_conn t.conns;
+  (* Last replies (a shutdown acknowledgement) get one more chance. *)
+  List.iter
+    (fun c ->
+      flush_conn c;
+      close_conn c)
+    t.conns;
   t.conns <- [];
   (try Unix.close t.ctl_listen with Unix.Unix_error _ -> ());
   (try Unix.close t.http_listen with Unix.Unix_error _ -> ());
@@ -863,33 +911,49 @@ let cleanup t =
   Option.iter flush t.config.alerts;
   Option.iter flush t.config.audit
 
+(* The simulation advances in chunks of [chunk_events] with a poll after
+   each, so a request is answered between events rather than between
+   slices; [slice] paces only the ticks and snapshots, and a run with no
+   mutations simulates exactly what one [Sim.run] per slice would. *)
 let serve t =
+  (* A peer that hangs up before its replies are written must cost its
+     connection, not the process: the write then fails with EPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
   (* Pacing anchor: the wall instant at which simulated time 0 "happened".
      Serving stays ahead of this clock only by the unserved slice. *)
   let wall0 = Unix.gettimeofday () -. Engine.Sim.now t.sim in
   while not t.stopping do
     let target = Engine.Sim.now t.sim +. t.config.slice in
-    Engine.Sim.run ~until:target t.sim;
-    tick t;
-    let now = Engine.Sim.now t.sim in
-    if now >= t.next_snapshot then begin
-      snapshot t;
-      t.next_snapshot <- now +. t.config.snapshot_interval
-    end;
-    if t.config.pace then begin
-      (* Sleep inside [poll] until the wall clock catches up to the
-         simulated clock, so pacing never starves the control plane. *)
-      let rec pace_wait () =
-        let ahead = wall0 +. Engine.Sim.now t.sim -. Unix.gettimeofday () in
-        if ahead > 0. && not t.stopping then begin
-          poll t ~timeout:(Float.min ahead 0.05);
-          pace_wait ()
-        end
-      in
-      pace_wait ();
+    let rec advance () =
+      if not (Engine.Sim.advance t.sim ~until:target ~budget:chunk_events)
+      then begin
+        poll t ~timeout:0.;
+        if not t.stopping then advance ()
+      end
+    in
+    advance ();
+    if not t.stopping then begin
+      tick t;
+      let now = Engine.Sim.now t.sim in
+      if now >= t.next_snapshot then begin
+        snapshot t;
+        t.next_snapshot <- now +. t.config.snapshot_interval
+      end;
+      if t.config.pace then begin
+        (* Sleep inside [poll] until the wall clock catches up to the
+           simulated clock, so pacing never starves the control plane. *)
+        let rec pace_wait () =
+          let ahead = wall0 +. Engine.Sim.now t.sim -. Unix.gettimeofday () in
+          if ahead > 0. && not t.stopping then begin
+            poll t ~timeout:(Float.min ahead 0.05);
+            pace_wait ()
+          end
+        in
+        pace_wait ()
+      end;
       poll t ~timeout:0.
     end
-    else poll t ~timeout:0.002
   done;
   (* Drain-out: give in-flight flows up to [drain_timeout] simulated
      seconds to land before tearing the fabric down. *)

@@ -2,12 +2,25 @@
 
     One single-threaded event loop alternates between
 
-    - advancing a continuous netsim simulation by one [slice] of
-      simulated time (per-tenant Poisson traffic through the synthesized
-      plan, SLO auditing, health evaluation, auto-remediation), and
-    - polling two listening sockets: the line-oriented JSON control
-      socket ({!Proto}, Unix-domain) and a minimal HTTP scrape surface
-      ([GET /metrics], [GET /healthz]).
+    - advancing a continuous netsim simulation (per-tenant Poisson
+      traffic through the synthesized plan) by a bounded chunk of events,
+      about a millisecond of host work, and
+    - polling, with no wait, two listening sockets and their connections:
+      the line-oriented JSON control socket ({!Proto}, Unix-domain) and a
+      minimal HTTP scrape surface ([GET /metrics], [GET /healthz],
+      [GET /query]).
+
+    So a request waits at most one chunk, not a whole slice.  Every
+    [slice] of simulated time the loop also ticks SLO auditing, health
+    evaluation and auto-remediation, and takes a retention snapshot when
+    one is due.  A run with no mutations simulates exactly what one
+    {!Engine.Sim.run} per slice would.
+
+    Replies are queued per connection and written as the socket accepts
+    them.  A connection with replies still queued is not read again
+    until they drain, so a client that stops reading holds back only
+    itself.  An HTTP request is read in the same poll that accepts its
+    connection, which closes once the response is written.
 
     Control-plane mutations go through the admission pipeline: validate
     the request, re-synthesize {e off to the side}, and only then swap
@@ -29,7 +42,10 @@ type config = {
   levels : int option;  (** synthesizer quantization *)
   seed : int;
   load : float;  (** per-tenant offered load on the aggregate access capacity *)
-  slice : float;  (** simulated seconds per serve-loop iteration *)
+  slice : float;
+      (** simulated seconds between health/SLO ticks (and snapshot
+          checks); requests are answered between chunks of events, not
+          at slice ends *)
   drain_timeout : float;
       (** max simulated seconds to let in-flight flows finish at shutdown *)
   remediation : Remediation.config;
@@ -69,10 +85,13 @@ val create : config -> (t, Qvisor.Error.t) result
     No traffic runs and no request is served until {!serve}. *)
 
 val serve : t -> unit
-(** Run the event loop until a [shutdown] request or {!stop}.  Closes and
-    unlinks the sockets, flushes the sinks, and (for up to
-    [drain_timeout] simulated seconds) lets in-flight flows finish on the
-    way out. *)
+(** Run the event loop until a [shutdown] request or {!stop}, which take
+    effect within one chunk of events (the slice in progress is cut short
+    and not ticked).  Then (for up to [drain_timeout] simulated seconds)
+    lets in-flight flows finish, makes one last attempt to write queued
+    replies, closes and unlinks the sockets and flushes the sinks.
+    Ignores [SIGPIPE] for the process, so a client that hangs up before
+    its replies are written costs only its connection. *)
 
 val stop : t -> unit
 (** Request the loop to exit; safe to call from a signal handler or

@@ -9,7 +9,7 @@ type t = {
   mutable clock : float;
   queue : ev Timer_wheel.t;
   mutable fired : int;
-  mutable busy : float; (* wall-clock seconds spent inside [run] *)
+  mutable busy : float; (* wall-clock seconds spent inside the event loop *)
   profiler : Span.t;
 }
 
@@ -64,28 +64,32 @@ let fire t time ev =
       h.action ()
     end
 
-let step t =
-  match Timer_wheel.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-    fire t time ev;
-    true
-
-let run ?until t =
+(* The one event loop: fire at most [budget] queued events (cancelled
+   ones count) due at or before [horizon]; [true] once none is left. *)
+let drain t ~horizon ~budget =
   Span.with_ t.profiler ~name:"sim.run" (fun () ->
       let started = Unix.gettimeofday () in
-      (match until with
-      | None -> while step t do () done
-      | Some horizon ->
-        let continue = ref true in
-        while !continue do
-          match Timer_wheel.pop_before t.queue ~horizon with
-          | Some (time, ev) -> fire t time ev
-          | None ->
-            t.clock <- max t.clock horizon;
-            continue := false
-        done);
-      t.busy <- t.busy +. (Unix.gettimeofday () -. started))
+      let left = ref budget and reached = ref false in
+      while (not !reached) && !left > 0 do
+        match Timer_wheel.pop_before t.queue ~horizon with
+        | Some (time, ev) ->
+          fire t time ev;
+          decr left
+        | None -> reached := true
+      done;
+      t.busy <- t.busy +. (Unix.gettimeofday () -. started);
+      !reached)
+
+let advance t ~until ~budget =
+  if budget < 1 then invalid_arg "Sim.advance: budget < 1";
+  let reached = drain t ~horizon:until ~budget in
+  if reached then t.clock <- max t.clock until;
+  reached
+
+let run ?until t =
+  match until with
+  | None -> ignore (drain t ~horizon:infinity ~budget:max_int)
+  | Some until -> ignore (advance t ~until ~budget:max_int)
 
 let pending_events t = Timer_wheel.size t.queue
 

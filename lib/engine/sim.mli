@@ -18,8 +18,8 @@ type handle
     handle allocation entirely. *)
 
 val create : ?profiler:Span.t -> unit -> t
-(** [profiler] (default: off) wraps every {!run} call in a ["sim.run"]
-    span. *)
+(** [profiler] (default: off) wraps every {!run} and {!advance} call in
+    a ["sim.run"] span. *)
 
 val now : t -> float
 (** Current virtual time, in seconds.  Starts at [0.]. *)
@@ -51,11 +51,18 @@ val is_pending : handle -> bool
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [~until], stop once the next event would
-    fire strictly after [until] and advance the clock to [until]. *)
+    fire strictly after [until] and advance the clock to [until]: this is
+    {!advance} with no budget. *)
 
-val step : t -> bool
-(** Fire the single earliest event.  Returns [false] if the queue was
-    empty. *)
+val advance : t -> until:float -> budget:int -> bool
+(** [advance t ~until ~budget] fires events due at or before [until], at
+    most [budget] of them (a cancelled event popped on the way counts).
+    Returns [true] once none is left, with the clock advanced to [until];
+    [false] when the budget ran out first, with the clock at the last
+    event fired.  Calling it again resumes where it stopped, so a caller
+    can do other work between bounded chunks of one span of simulated
+    time without changing what the simulation does.
+    @raise Invalid_argument if [budget < 1]. *)
 
 val pending_events : t -> int
 (** Number of scheduled (possibly cancelled) events still queued. *)
@@ -65,5 +72,6 @@ val events_fired : t -> int
     the denominator-free half of an events/sec figure. *)
 
 val busy_seconds : t -> float
-(** Cumulative wall-clock seconds spent inside [run] calls.  With
-    {!events_fired} this yields the engine's events/sec throughput. *)
+(** Cumulative wall-clock seconds spent inside {!run} and {!advance}
+    calls.  With {!events_fired} this yields the engine's events/sec
+    throughput. *)

@@ -50,7 +50,11 @@ type wflow = {
 
 type cbr = { stats : cbr_stats }
 
-type flow = Windowed of wflow | Cbr of cbr
+(* A registry slot no flow has taken is [Vacant].  A windowed flow that
+   is complete and fully acknowledged is retired to [Done]: its
+   per-segment arrays go, and only the ranker a late duplicate data
+   packet's ACK needs stays. *)
+type flow = Vacant | Windowed of wflow | Cbr of cbr | Done of Sched.Ranker.t
 
 type t = {
   sim : Engine.Sim.t;
@@ -58,22 +62,22 @@ type t = {
   (* Flow ids are dense (allocated by [fresh_flow_id]), so the registry
      is a growable array: delivery dispatch is one bounds check and one
      load per packet instead of a hash + structural key compare. *)
-  mutable flows : flow option array;
+  mutable flows : flow array;
   mutable next_flow_id : int;
   mutable active : int;
 }
 
 let create ~sim () =
-  { sim; net = None; flows = Array.make 256 None; next_flow_id = 0; active = 0 }
+  { sim; net = None; flows = Array.make 256 Vacant; next_flow_id = 0; active = 0 }
 
 let register t id fl =
   let n = Array.length t.flows in
   if id >= n then begin
-    let bigger = Array.make (max (2 * n) (id + 1)) None in
+    let bigger = Array.make (max (2 * n) (id + 1)) Vacant in
     Array.blit t.flows 0 bigger 0 n;
     t.flows <- bigger
   end;
-  t.flows.(id) <- Some fl
+  t.flows.(id) <- fl
 
 let attach t net =
   match t.net with
@@ -220,15 +224,19 @@ let start_flow t ~tenant ~ranker ~src ~dst ~size ?(window = 12) ?(rto = 1e-3)
   fill t f;
   id
 
-let send_ack t f (data : Sched.Packet.t) =
+(* The ACK is built from the data packet's own fields, which carry its
+   flow's tenant, hosts, deadline and id, so a retired flow answers a late
+   duplicate exactly as the live flow would have. *)
+let send_ack t ranker (data : Sched.Packet.t) =
   let now = Engine.Sim.now t.sim in
   let ack =
-    Sched.Packet.make ~kind:Sched.Packet.Ack ~tenant:f.tenant ~src:f.dst
-      ~dst:f.src ~seq:data.Sched.Packet.seq ~payload:0 ~remaining:0
-      ~deadline:f.deadline ~created_at:now ~flow:f.id
-      ~size:Sched.Packet.header_bytes ()
+    Sched.Packet.make ~kind:Sched.Packet.Ack ~tenant:data.Sched.Packet.tenant
+      ~src:data.Sched.Packet.dst ~dst:data.Sched.Packet.src
+      ~seq:data.Sched.Packet.seq ~payload:0 ~remaining:0
+      ~deadline:data.Sched.Packet.deadline ~created_at:now
+      ~flow:data.Sched.Packet.flow ~size:Sched.Packet.header_bytes ()
   in
-  ignore (Sched.Ranker.tag f.ranker ~now ack);
+  ignore (Sched.Ranker.tag ranker ~now ack);
   Net.inject (net t) ack
 
 let receive_data t f (p : Sched.Packet.t) =
@@ -249,7 +257,7 @@ let receive_data t f (p : Sched.Packet.t) =
         completed_at = Engine.Sim.now t.sim;
       }
   end;
-  send_ack t f p
+  send_ack t f.ranker p
 
 let receive_ack t f (p : Sched.Packet.t) =
   let seq = p.Sched.Packet.seq in
@@ -267,12 +275,15 @@ let receive_ack t f (p : Sched.Packet.t) =
     f.acked_bytes <- f.acked_bytes + payload_at f seq
   end;
   if f.acked_bytes >= f.size then begin
-    (* Everything delivered and acknowledged: quiesce the sender. *)
+    (* Everything delivered and acknowledged: quiesce the sender and
+       retire the flow.  Every ACK answers a received segment, so the
+       receiver has completed too. *)
     (match f.rto_handle with
     | Some h ->
       Engine.Sim.cancel h;
       f.rto_handle <- None
-    | None -> ())
+    | None -> ());
+    if f.completed then t.flows.(f.id) <- Done f.ranker
   end
   else fill t f
 
@@ -333,12 +344,16 @@ let deliver t (p : Sched.Packet.t) =
   let id = p.Sched.Packet.flow in
   if id >= 0 && id < Array.length t.flows then
     match t.flows.(id) with
-    | None -> () (* stale packet of a forgotten flow *)
-    | Some (Windowed f) -> (
+    | Vacant -> () (* an id no flow was registered under *)
+    | Done ranker -> (
+      match p.Sched.Packet.kind with
+      | Sched.Packet.Data -> send_ack t ranker p
+      | Sched.Packet.Ack -> ())
+    | Windowed f -> (
       match p.Sched.Packet.kind with
       | Sched.Packet.Data -> receive_data t f p
       | Sched.Packet.Ack -> receive_ack t f p)
-    | Some (Cbr c) -> (
+    | Cbr c -> (
       match p.Sched.Packet.kind with
       | Sched.Packet.Data -> receive_cbr t c p
       | Sched.Packet.Ack -> ())

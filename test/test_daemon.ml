@@ -247,14 +247,14 @@ let test_remediation_degraded_breaks_streak () =
 (* Admission pipeline (handle_request, no sockets involved)           *)
 (* ------------------------------------------------------------------ *)
 
-let temp_server () =
+let temp_server ?(slice = 0.005) () =
   let dir = Filename.temp_dir "qvisor-daemon-test" "" in
   let config =
     {
       Daemon.Server.default_config with
       Daemon.Server.socket_path = Filename.concat dir "ctl.sock";
       http_port = 0;
-      slice = 0.005;
+      slice;
       drain_timeout = 0.02;
       telemetry = Engine.Telemetry.create ();
     }
@@ -339,19 +339,27 @@ let send_line fd line =
   let bytes = Bytes.of_string line in
   write_all fd bytes 0 (Bytes.length bytes)
 
-(* Read one newline-terminated line (the reply) off a stream socket. *)
+(* Read one newline-terminated line (the reply) off a stream socket,
+   consuming nothing past the newline: peek at what has arrived, then take
+   up to the newline.  Two reads per line rather than one per byte matter
+   here, because the server thread shares the runtime lock and every read
+   has to win it back. *)
 let read_line fd =
   let buf = Buffer.create 256 in
-  let chunk = Bytes.create 1 in
+  let chunk = Bytes.create 4096 in
   let rec go () =
-    match Unix.read fd chunk 0 1 with
+    match Unix.recv fd chunk 0 4096 [ Unix.MSG_PEEK ] with
     | 0 -> Buffer.contents buf
-    | _ ->
-      if Bytes.get chunk 0 = '\n' then Buffer.contents buf
-      else begin
-        Buffer.add_char buf (Bytes.get chunk 0);
-        go ()
-      end
+    | n -> (
+      match Bytes.index_from_opt chunk 0 '\n' with
+      | Some i when i < n ->
+        let taken = Unix.read fd chunk 0 (i + 1) in
+        Buffer.add_subbytes buf chunk 0 (taken - 1);
+        Buffer.contents buf
+      | _ ->
+        let taken = Unix.read fd chunk 0 n in
+        Buffer.add_subbytes buf chunk 0 taken;
+        go ())
   in
   go ()
 
@@ -506,6 +514,91 @@ let test_input_cap () =
   | _ -> Alcotest.fail "shutdown must be acknowledged");
   Unix.close fd;
   Thread.join server_thread
+
+(* A control connection whose reads give up after 10 s, so a daemon that
+   never answers fails the test instead of hanging it. *)
+let connect_ctl t =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX (Daemon.Server.socket_path t));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  fd
+
+let status_sim_time fd =
+  match rpc fd Daemon.Proto.Status with
+  | Ok (Daemon.Proto.Status_reply st) -> st.Daemon.Proto.sim_time
+  | _ -> Alcotest.fail "status must answer"
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+    Alcotest.fail "no status reply within the receive timeout"
+
+let shutdown_over fd server_thread =
+  (match rpc fd Daemon.Proto.Shutdown with
+  | Ok Daemon.Proto.Shutting_down -> ()
+  | _ -> Alcotest.fail "shutdown must be acknowledged");
+  Unix.close fd;
+  Thread.join server_thread
+
+(* The loop polls between bounded chunks of events, not only at slice
+   ends: with one-second slices, every one of ten status round trips is
+   answered inside the first simulated second. *)
+let test_answered_inside_slice () =
+  let t = temp_server ~slice:1.0 () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let fd = connect_ctl t in
+  for i = 1 to 10 do
+    let sim_time = status_sim_time fd in
+    if sim_time >= 1.0 then
+      Alcotest.failf "status %d answered at simulated %g s, not inside the \
+                      first 1 s slice" i sim_time
+  done;
+  shutdown_over fd server_thread
+
+(* A control client that floods requests and never reads the replies
+   holds back only itself: the daemon queues its replies and stops
+   reading it, while a second client is still answered and simulated time
+   still moves. *)
+let test_slow_reader_holds_back_only_itself () =
+  let t = temp_server () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let other = connect_ctl t in
+  let before = status_sim_time other in
+  let hog = connect_ctl t in
+  (* Room in the hog's own socket buffer for the whole flood, so the
+     flood completes whether or not the daemon keeps reading. *)
+  Unix.setsockopt_int hog Unix.SO_SNDBUF (1 lsl 20);
+  Unix.set_nonblock hog;
+  let line = Daemon.Proto.request_line Daemon.Proto.Status in
+  let copies = (256 * 1024 / String.length line) + 1 in
+  let flood = String.concat "" (List.init copies (fun _ -> line)) in
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec write off =
+    if off < String.length flood then
+      let len = String.length flood - off in
+      match Unix.single_write_substring hog flood off len with
+      | n -> write (off + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "flood stalled after %d of %d bytes" off
+            (String.length flood);
+        ignore (Unix.select [] [ hog ] [] 0.1);
+        write off
+  in
+  write 0;
+  (* A tenth of a simulated second is twenty slices: far more than the
+     daemon needs to read the hog until its replies back up. *)
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec later () =
+    let now = status_sim_time other in
+    if now < before +. 0.1 then begin
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "simulated time only reached %g s behind the slow reader"
+          now;
+      Unix.sleepf 0.01;
+      later ()
+    end
+  in
+  later ();
+  Unix.close hog;
+  shutdown_over other server_thread
 
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
@@ -783,5 +876,9 @@ let () =
             test_query_dashboard_integration;
           Alcotest.test_case "over-cap input is refused" `Slow
             test_input_cap;
+          Alcotest.test_case "answered inside a slice" `Slow
+            test_answered_inside_slice;
+          Alcotest.test_case "slow reader holds back only itself" `Slow
+            test_slow_reader_holds_back_only_itself;
         ] );
     ]

@@ -426,6 +426,28 @@ let test_sim_until () =
   Alcotest.(check (list (float 1e-9))) "rest after resume" [ 1.0; 2.0; 3.0; 4.0 ]
     (List.rev !fired)
 
+(* A budgeted advance stops after [budget] events with the clock at the
+   last one, and resuming it fires exactly what one [run ~until] would. *)
+let test_sim_advance_budget () =
+  let sim = Engine.Sim.create () in
+  let fired = ref [] in
+  List.iter
+    (fun t ->
+      ignore (Engine.Sim.schedule_at sim ~time:t (fun () -> fired := t :: !fired)))
+    [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
+  Alcotest.(check bool) "budget ran out first" false
+    (Engine.Sim.advance sim ~until:3.5 ~budget:2);
+  Alcotest.(check (list (float 1e-9))) "two events" [ 1.0; 2.0 ] (List.rev !fired);
+  check_float "clock at the last event" 2.0 (Engine.Sim.now sim);
+  Alcotest.(check bool) "horizon reached" true
+    (Engine.Sim.advance sim ~until:3.5 ~budget:2);
+  Alcotest.(check (list (float 1e-9))) "nothing past the horizon"
+    [ 1.0; 2.0; 3.0 ] (List.rev !fired);
+  check_float "clock advanced to horizon" 3.5 (Engine.Sim.now sim);
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "zero budget rejected" true
+    (raises (fun () -> ignore (Engine.Sim.advance sim ~until:5.0 ~budget:0)))
+
 let test_sim_past_rejected () =
   let sim = Engine.Sim.create () in
   ignore (Engine.Sim.schedule_at sim ~time:5.0 (fun () -> ()));
@@ -920,6 +942,7 @@ let () =
           Alcotest.test_case "cascade" `Quick test_sim_cascade;
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "run until" `Quick test_sim_until;
+          Alcotest.test_case "budgeted advance" `Quick test_sim_advance_budget;
           Alcotest.test_case "past rejected" `Quick test_sim_past_rejected;
           Alcotest.test_case "same-time FIFO" `Quick test_sim_same_time_fifo;
           Alcotest.test_case "handle-free same-time FIFO" `Quick

@@ -404,6 +404,41 @@ let test_transport_active_flow_accounting () =
   Engine.Sim.run sim;
   Alcotest.(check int) "quiescent after" 0 (Netsim.Transport.active_flows transport)
 
+(* A flow that is complete and fully acknowledged gives up its
+   per-segment state: what stays live per finished ten-segment flow is
+   about three words (its registry slot and a stub), where keeping the
+   whole flow costs about fifty. *)
+let test_transport_retires_completed_flows () =
+  let sim, _net, transport = transport_net () in
+  let ranker = Sched.Ranker.pfabric () in
+  let flows = 1000 in
+  let completed = ref 0 in
+  let on_complete _ = incr completed in
+  Gc.full_major ();
+  let live_before = (Gc.stat ()).Gc.live_words in
+  (* Each start schedules the next, so the event queue never holds more
+     than a few of them and its own footprint does not scale with
+     [flows]. *)
+  let rec start i () =
+    if i < flows then begin
+      ignore
+        (Netsim.Transport.start_flow transport ~tenant:0 ~ranker ~src:(i mod 4)
+           ~dst:((i + 1) mod 4) ~size:14_600 ~on_complete ());
+      Engine.Sim.schedule_after_ sim ~delay:150e-6 (start (i + 1))
+    end
+  in
+  start 0 ();
+  Engine.Sim.run sim;
+  Alcotest.(check int) "every flow completed" flows !completed;
+  Gc.full_major ();
+  let per_flow =
+    float_of_int ((Gc.stat ()).Gc.live_words - live_before) /. float_of_int flows
+  in
+  if per_flow > 6. then
+    Alcotest.failf "%.1f live words per completed flow (bound 6)" per_flow;
+  (* Used after the measurement, so the registry is live during it. *)
+  Alcotest.(check int) "quiescent" 0 (Netsim.Transport.active_flows transport)
+
 let test_transport_recovers_from_drops () =
   (* A tiny queue forces drops; retransmission must still complete the
      flow. *)
@@ -876,6 +911,8 @@ let () =
           Alcotest.test_case "tiny flow" `Quick test_transport_tiny_flow;
           Alcotest.test_case "active accounting" `Quick test_transport_active_flow_accounting;
           Alcotest.test_case "recovers from drops" `Quick test_transport_recovers_from_drops;
+          Alcotest.test_case "retires completed flows" `Quick
+            test_transport_retires_completed_flows;
           Alcotest.test_case "concurrent flows" `Quick test_transport_concurrent_flows_share;
           Alcotest.test_case "srpt under contention" `Quick test_transport_srpt_under_contention;
           Alcotest.test_case "cbr throughput+deadlines" `Quick test_cbr_throughput_and_deadlines;
