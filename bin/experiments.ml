@@ -38,16 +38,6 @@ let parse_loads = function
   | None -> Experiments.Fig4.paper_loads
   | Some loads -> loads
 
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel runs (floor 1; default: \
-     the machine's recommended domain count minus one)."
-  in
-  Arg.(
-    value
-    & opt int (Engine.Parallel.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 (* Progress lines can now be emitted from worker domains; serialize them. *)
 let progress_mutex = Mutex.create ()
 
@@ -84,57 +74,32 @@ let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
 (* --------------------------------------------------------------- *)
-(* Telemetry flags (shared by fig4 / single / churn)               *)
+(* Instrument flags (shared by fig4 / single / churn)              *)
 (* --------------------------------------------------------------- *)
 
-let telemetry_arg =
-  let doc =
-    "Enable the metric registry (per-tenant/per-port counters, queue-depth \
-     and sojourn histograms, pre-processor hit counts) and print its JSON \
-     snapshot on stdout after the results."
-  in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
+let instruments_arg =
+  Cliopts.instruments
+    ~telemetry_doc:
+      "Enable the metric registry (per-tenant/per-port counters, \
+       queue-depth and sojourn histograms, pre-processor hit counts) and \
+       print its JSON snapshot on stdout after the results."
+    ~trace_doc:
+      "Write a sampled NDJSON packet-event trace (preprocess/enqueue/ \
+       dequeue/drop/evict) to $(docv)."
+    ~metrics_out_doc:
+      "Write the metric registry (plus the SLO burn-rate and health gauges \
+       when --slo is on) to $(docv) in Prometheus text exposition format; \
+       implies a registry even without --telemetry.  Validate or inspect \
+       the file with `qvisor-cli metrics --validate'."
+    ()
 
-let trace_arg =
-  let doc =
-    "Write a sampled NDJSON packet-event trace (preprocess/enqueue/ \
-     dequeue/drop/evict) to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+(* The Fig. 4 harness always runs tenant 0 = pfabric, tenant 1 = edf;
+   the map turns [net.tenant.0.*] into [{tenant="pfabric"}] labels. *)
+let fig4_tenant_names = [ (0, "pfabric"); (1, "edf") ]
 
-let trace_sample_arg =
-  let doc =
-    "Probability that any given packet event is recorded in the trace \
-     (deterministic for a fixed --seed)."
-  in
-  Arg.(value & opt float 1.0 & info [ "trace-sample" ] ~docv:"RATE" ~doc)
-
-let profile_arg =
-  let doc =
-    "Write a span profile of the run to $(docv) as Chrome trace-event JSON \
-     (load in Perfetto or chrome://tracing); a sorted self/total-time table \
-     is printed to stderr.  The profiled span structure is identical for \
-     any --jobs value."
-  in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
-let make_profiler profile =
-  match profile with
-  | Some _ -> Engine.Span.create ()
-  | None -> Engine.Span.disabled
-
-let write_profile profile profiler =
-  match profile with
-  | None -> ()
-  | Some path ->
-    (try
-       Out_channel.with_open_text path (fun oc ->
-           Engine.Span.write_chrome profiler oc)
-     with Sys_error e ->
-       Format.eprintf "cannot write profile: %s@." e;
-       exit 1);
-    Format.eprintf "%a@." Engine.Span.pp_table profiler;
-    progress "wrote %s@." path
+let start_run ?seed ins =
+  Cliopts.exit_on_error
+    (Cliopts.Run.create ~tenant_names:fig4_tenant_names ?seed ins)
 
 let flight_arg =
   let doc =
@@ -182,200 +147,32 @@ let setup_flight dir =
             "flight recorder: %d anomalies across %d link(s), dumps in %s@."
             !fired (Hashtbl.length dumped) dir )
 
-(* --------------------------------------------------------------- *)
-(* Prometheus exposition / SLO flags (fig4 / single / churn)       *)
-(* --------------------------------------------------------------- *)
-
-(* The Fig. 4 harness always runs tenant 0 = pfabric, tenant 1 = edf;
-   the map turns [net.tenant.0.*] into [{tenant="pfabric"}] labels. *)
-let fig4_tenant_names = [ (0, "pfabric"); (1, "edf") ]
-
-let metrics_out_arg =
-  let doc =
-    "Write the metric registry (plus the SLO burn-rate and health gauges \
-     when --slo is on) to $(docv) in Prometheus text exposition format; \
-     implies a registry even without --telemetry.  Validate or inspect the \
-     file with `qvisor-cli metrics --validate'."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-(* Atomic (temp file + rename): a scraper tailing the file, or a run
-   killed mid-write, can never observe a truncated exposition. *)
-let write_metrics path tel =
-  try
-    Engine.Perf.write_atomic path (fun oc ->
-        output_string oc
-          (Engine.Exposition.render ~tenant_names:fig4_tenant_names tel))
-  with Sys_error e ->
-    Format.eprintf "cannot write metrics: %s@." e;
-    exit 1
-
-let finish_metrics metrics_out tel =
-  match (metrics_out, tel) with
-  | Some path, Some tel ->
-    write_metrics path tel;
-    progress "wrote %s@." path
-  | _ -> ()
-
-(* Returns the registry to thread through the run (None when all three
-   knobs are off) and a [finish] closure that flushes the trace and
-   prints the snapshot.  [force] creates a registry even when neither
-   --telemetry nor --trace asked for one (the --metrics-out case). *)
-let setup_telemetry ?(force = false) ~telemetry ~trace ~trace_sample ~seed () =
-  if trace_sample < 0. || trace_sample > 1. then begin
-    Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-      trace_sample;
-    exit 1
-  end;
-  if (not telemetry) && trace = None && not force then (None, fun () -> ())
-  else begin
-    let tel = Engine.Telemetry.create () in
-    let close_trace =
-      match trace with
-      | None -> fun () -> ()
-      | Some path ->
-        let oc =
-          try open_out path
-          with Sys_error e ->
-            Format.eprintf "cannot write trace: %s@." e;
-            exit 1
-        in
-        Engine.Telemetry.attach_sink tel ~sample:trace_sample ~seed oc;
-        fun () ->
-          Engine.Telemetry.detach_sink tel;
-          close_out oc;
-          progress "wrote %s@." path
-    in
-    ( Some tel,
-      fun () ->
-        let snap = Engine.Telemetry.snapshot tel in
-        close_trace ();
-        if telemetry then
-          print_endline (Engine.Json.to_string ~pretty:true snap) )
-  end
-
-(* Per-job telemetry for the parallel sweep: every job gets a private
-   registry (and, under --trace, a private temp sink seeded from the
-   job's derived stream); after the join everything is merged in job
-   order, so the snapshot and the trace file do not depend on the worker
-   count. *)
-let setup_job_telemetry ~telemetry ~trace ~trace_sample ~metrics_out
-    (grid : Experiments.Fig4.job list) =
-  if trace_sample < 0. || trace_sample > 1. then begin
-    Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-      trace_sample;
-    exit 1
-  end;
-  if (not telemetry) && trace = None && metrics_out = None then
-    ((fun (_ : Experiments.Fig4.job) -> Engine.Telemetry.disabled), fun () -> ())
-  else begin
-    let slots =
-      List.map
-        (fun (job : Experiments.Fig4.job) ->
-          let tel = Engine.Telemetry.create () in
-          let tmp =
-            match trace with
-            | None -> None
-            | Some _ ->
-              let path = Filename.temp_file "qvisor-trace" ".ndjson" in
-              let oc = open_out path in
-              Engine.Telemetry.attach_sink tel ~sample:trace_sample
-                ~seed:job.Experiments.Fig4.job_seed oc;
-              Some (path, oc)
-          in
-          (job.Experiments.Fig4.index, tel, tmp))
-        grid
-    in
-    let by_index = Hashtbl.create 64 in
-    List.iter (fun (i, tel, _) -> Hashtbl.replace by_index i tel) slots;
-    let telemetry_for (job : Experiments.Fig4.job) =
-      Hashtbl.find by_index job.Experiments.Fig4.index
-    in
-    let finish () =
-      let merged = Engine.Telemetry.create () in
-      let final =
-        match trace with
-        | None -> None
-        | Some path -> (
-          match open_out path with
-          | oc ->
-            Engine.Telemetry.attach_sink merged ~sample:trace_sample oc;
-            Some (path, oc)
-          | exception Sys_error e ->
-            Format.eprintf "cannot write trace: %s@." e;
-            exit 1)
-      in
-      List.iter
-        (fun (_, tel, tmp) ->
-          Engine.Telemetry.merge_into ~into:merged tel;
-          match tmp with
-          | None -> ()
-          | Some (path, oc) ->
-            Engine.Telemetry.detach_sink tel;
-            close_out oc;
-            (match final with
-            | None -> ()
-            | Some (_, final_oc) ->
-              let ic = open_in_bin path in
-              let len = in_channel_length ic in
-              output_string final_oc (really_input_string ic len);
-              close_in ic);
-            Sys.remove path)
-        slots;
-      let snap =
-        if telemetry then Some (Engine.Telemetry.snapshot merged) else None
-      in
-      finish_metrics metrics_out (Some merged);
-      (match final with
-      | None -> ()
-      | Some (path, oc) ->
-        Engine.Telemetry.detach_sink merged;
-        close_out oc;
-        progress "wrote %s@." path);
-      Option.iter
-        (fun snap -> print_endline (Engine.Json.to_string ~pretty:true snap))
-        snap
-    in
-    (telemetry_for, finish)
-  end
-
 let fig4_cmd =
-  let run scale seed loads csv config telemetry trace trace_sample jobs profile
-      metrics_out =
+  let run scale seed loads csv config jobs ins =
     let params = resolve_params scale config seed in
     let loads = parse_loads loads in
-    let jobs = max 1 jobs in
     let grid =
       Experiments.Fig4.jobs_of_grid params ~loads
         ~schemes:Experiments.Fig4.paper_schemes
     in
-    let telemetry_for, finish_telemetry =
-      setup_job_telemetry ~telemetry ~trace ~trace_sample ~metrics_out grid
+    (* One part per job (its index is its position in [grid]), sampled
+       with the job's own seed and merged in job order. *)
+    let instr = start_run ins in
+    let parts =
+      Array.of_list
+        (Cliopts.Run.parts instr
+           ~seeds:(List.map (fun j -> j.Experiments.Fig4.job_seed) grid))
     in
-    (* Per-job span profilers, merged in job order after the join — the
-       merged span structure is identical for any --jobs value. *)
-    let profiler = make_profiler profile in
-    let profiler_slots =
-      if Engine.Span.is_enabled profiler then
-        List.map
-          (fun (job : Experiments.Fig4.job) ->
-            (job.Experiments.Fig4.index, Engine.Span.create ()))
-          grid
-      else []
-    in
-    let profiler_for (job : Experiments.Fig4.job) =
-      match List.assoc_opt job.Experiments.Fig4.index profiler_slots with
-      | Some p -> p
-      | None -> Engine.Span.disabled
-    in
+    let part (j : Experiments.Fig4.job) = parts.(j.Experiments.Fig4.index) in
     let on_start (job : Experiments.Fig4.job) =
       progress "running load %.2f %s...@." job.Experiments.Fig4.job_load
         (Experiments.Fig4.scheme_name job.Experiments.Fig4.job_scheme)
     in
     let results =
       or_die
-        (Experiments.Fig4.run_jobs ~jobs ~telemetry_for ~profiler_for
+        (Experiments.Fig4.run_jobs ~jobs
+           ~telemetry_for:(fun j -> (part j).Cliopts.Run.registry)
+           ~profiler_for:(fun j -> (part j).Cliopts.Run.profiler)
            ~on_start params grid)
     in
     Format.printf "%a@." Experiments.Fig4.print_fig4 results;
@@ -384,24 +181,19 @@ let fig4_cmd =
     | Some path ->
       Experiments.Export.save_fig4 path results;
       progress "wrote %s@." path);
-    finish_telemetry ();
-    List.iter
-      (fun (i, p) -> Engine.Span.merge_into ~into:profiler ~tid:(i + 1) p)
-      profiler_slots;
-    write_profile profile profiler
+    ignore (Cliopts.Run.finish instr)
   in
   let doc = "Regenerate Fig. 4 (both panels): pFabric FCT vs load, six schemes." in
   Cmd.v (Cmd.info "fig4" ~doc)
     Term.(
       const run $ scale_arg $ seed_arg $ loads_arg $ csv_arg $ config_arg
-      $ telemetry_arg $ trace_arg $ trace_sample_arg $ jobs_arg $ profile_arg
-      $ metrics_out_arg)
+      $ Cliopts.jobs $ instruments_arg)
 
 let ablation_quant_cmd =
   let run scale seed jobs =
     let params = { scale with Experiments.Fig4.seed } in
     let results =
-      Engine.Parallel.map ~jobs:(max 1 jobs)
+      Engine.Parallel.map ~jobs
         (fun levels ->
           progress "running quantization levels %d...@." levels;
           ( levels,
@@ -426,7 +218,7 @@ let ablation_quant_cmd =
   in
   let doc = "Ablation A1: FCT sensitivity to rank-normalization quantization." in
   Cmd.v (Cmd.info "ablation-quant" ~doc)
-    Term.(const run $ scale_arg $ seed_arg $ jobs_arg)
+    Term.(const run $ scale_arg $ seed_arg $ Cliopts.jobs)
 
 let ablation_backend_cmd =
   let run scale seed jobs =
@@ -471,7 +263,7 @@ let ablation_backend_cmd =
            { params with Experiments.Fig4.tree_backend = true }) ]
     in
     let results =
-      Engine.Parallel.map ~jobs:(max 1 jobs)
+      Engine.Parallel.map ~jobs
         (fun (name, case_params) ->
           progress "running backend %s...@." name;
           ( name,
@@ -494,51 +286,34 @@ let ablation_backend_cmd =
      workloads (rather than end-to-end FCT), see `qvisor-cli conformance'."
   in
   Cmd.v (Cmd.info "ablation-backend" ~doc)
-    Term.(const run $ scale_arg $ seed_arg $ jobs_arg)
+    Term.(const run $ scale_arg $ seed_arg $ Cliopts.jobs)
 
 let churn_cmd =
-  let run seed telemetry trace trace_sample jobs profile metrics_out =
+  let run seed jobs ins =
     let params = { Experiments.Churn.default with Experiments.Churn.seed } in
-    let tel, finish_telemetry =
-      setup_telemetry
-        ~force:(metrics_out <> None)
-        ~telemetry ~trace ~trace_sample ~seed ()
-    in
-    (* Telemetry instruments only the qvisor run (as before), so the
-       single registry is touched by exactly one worker. *)
+    let instr = start_run ~seed ins in
+    (* Telemetry instruments only the qvisor run (as before), straight
+       into the root registry, which exactly one worker touches.  One
+       private profiler per scheme, merged naive-then-qvisor. *)
     let telemetry_for ~qvisor =
-      if qvisor then Option.value tel ~default:Engine.Telemetry.disabled
-      else Engine.Telemetry.disabled
+      if qvisor then Cliopts.Run.registry instr else Engine.Telemetry.disabled
     in
-    (* One private profiler per scheme, merged naive-then-qvisor. *)
-    let profiler = make_profiler profile in
-    let prof_of_scheme ~qvisor:_ =
-      if Engine.Span.is_enabled profiler then Engine.Span.create ()
-      else Engine.Span.disabled
-    in
-    let prof_naive = prof_of_scheme ~qvisor:false in
-    let prof_qvisor = prof_of_scheme ~qvisor:true in
-    let profiler_for ~qvisor = if qvisor then prof_qvisor else prof_naive in
+    let profilers = Cliopts.Run.profilers instr 2 in
+    let profiler_for ~qvisor = List.nth profilers (Bool.to_int qvisor) in
     progress "running churn (naive + qvisor)...@.";
     match
-      Experiments.Churn.compare_schemes ~jobs:(max 1 jobs) ~telemetry_for
-        ~profiler_for params
+      Experiments.Churn.compare_schemes ~jobs ~telemetry_for ~profiler_for
+        params
     with
     | [ naive; qvisor ] ->
       Format.printf "%a@.@.%a@." Experiments.Churn.print [ naive; qvisor ]
         Experiments.Churn.print_activity qvisor;
-      finish_telemetry ();
-      finish_metrics metrics_out tel;
-      Engine.Span.merge_into ~into:profiler ~tid:1 prof_naive;
-      Engine.Span.merge_into ~into:profiler ~tid:2 prof_qvisor;
-      write_profile profile profiler
+      ignore (Cliopts.Run.finish instr)
     | _ -> assert false
   in
   let doc = "Ablation A3: tenant churn (the paper's Fig. 2 timeline)." in
   Cmd.v (Cmd.info "churn" ~doc)
-    Term.(
-      const run $ seed_arg $ telemetry_arg $ trace_arg $ trace_sample_arg
-      $ jobs_arg $ profile_arg $ metrics_out_arg)
+    Term.(const run $ seed_arg $ Cliopts.jobs $ instruments_arg)
 
 let single_cmd =
   let scheme_arg =
@@ -599,8 +374,8 @@ let single_cmd =
       & opt (some Cliopts.duration) None
       & info [ "metrics-interval" ] ~docv:"DURATION" ~doc)
   in
-  let run scale seed scheme load config telemetry trace trace_sample profile
-      flight slo inject alerts metrics_out metrics_interval =
+  let run scale seed scheme load config (ins : Cliopts.instruments) flight slo
+      inject alerts metrics_interval =
     let params =
       {
         (resolve_params scale config seed) with
@@ -618,14 +393,14 @@ let single_cmd =
     (* Positivity is enforced by the Cliopts.pos_float converter; only the
        flag-combination constraint is left to check here. *)
     (match metrics_interval with
-    | Some _ when (not slo) || metrics_out = None ->
+    | Some _ when (not slo) || ins.metrics_out = None ->
       Format.eprintf "--metrics-interval needs --slo and --metrics-out@.";
       exit 1
     | _ -> ());
-    let tel, finish_telemetry =
-      setup_telemetry
-        ~force:(metrics_out <> None)
-        ~telemetry ~trace ~trace_sample ~seed ()
+    let instr = start_run ~seed ins in
+    let tel = Cliopts.Run.registry instr in
+    let write_metrics path =
+      Cliopts.write_metrics ~tenant_names:fig4_tenant_names path tel
     in
     let alerts_oc =
       Option.map
@@ -642,25 +417,22 @@ let single_cmd =
        Stdlib.exit so at_exit channel flushes still run. *)
     Cliopts.at_signal_exit (fun () ->
         Option.iter flush alerts_oc;
-        match (metrics_out, tel) with
-        | Some path, Some tel -> write_metrics path tel
-        | _ -> ());
-    Cliopts.exit_on_signal ();
+        Option.iter write_metrics ins.metrics_out);
     (* Periodic exposition: rewritten whole each time, so a scraper always
        sees a complete, parseable document. *)
     let last_metrics = ref neg_infinity in
     let on_tick now =
-      match (metrics_interval, metrics_out, tel) with
-      | Some iv, Some path, Some tel when now -. !last_metrics >= iv ->
+      match (metrics_interval, ins.metrics_out) with
+      | Some iv, Some path when now -. !last_metrics >= iv ->
         last_metrics := now;
-        write_metrics path tel
+        write_metrics path
       | _ -> ()
     in
-    let profiler = make_profiler profile in
     let flight_config, on_anomaly, finish_flight = setup_flight flight in
     let r =
       or_die
-        (Experiments.Fig4.run ?telemetry:tel ~profiler ?flight:flight_config
+        (Experiments.Fig4.run ~telemetry:tel
+           ~profiler:(Cliopts.Run.profiler instr) ?flight:flight_config
            ?on_anomaly ~slo ?alerts:alerts_oc ~on_tick params scheme)
     in
     Format.printf
@@ -695,8 +467,7 @@ let single_cmd =
       Format.printf "@]@.");
     (* A compact percentile summary of the port histograms (the live
        registry's P^2 sketches, via Telemetry.Histogram.quantile). *)
-    (match tel with
-    | Some tel when telemetry ->
+    (if ins.telemetry then
       let q = Engine.Telemetry.Histogram.quantile in
       let depth = Engine.Telemetry.histogram tel "net.queue_depth_pkts" in
       let sojourn = Engine.Telemetry.histogram tel "net.sojourn_seconds" in
@@ -707,17 +478,14 @@ let single_cmd =
       Format.printf "%-24s %10.4f %10.4f %10.4f@]@." "sojourn (ms)"
         (1e3 *. q sojourn 0.5)
         (1e3 *. q sojourn 0.9)
-        (1e3 *. q sojourn 0.99)
-    | _ -> ());
-    finish_telemetry ();
+        (1e3 *. q sojourn 0.99));
     finish_flight ();
     (match (alerts_oc, alerts) with
     | Some oc, Some path ->
       close_out oc;
       progress "wrote %s@." path
     | _ -> ());
-    finish_metrics metrics_out tel;
-    write_profile profile profiler;
+    ignore (Cliopts.Run.finish instr);
     match r.Experiments.Fig4.slo with
     | Some report
       when List.exists
@@ -735,8 +503,7 @@ let single_cmd =
   Cmd.v (Cmd.info "single" ~doc)
     Term.(
       const run $ scale_arg $ seed_arg $ scheme_arg $ load_arg $ config_arg
-      $ telemetry_arg $ trace_arg $ trace_sample_arg $ profile_arg
-      $ flight_arg $ slo_arg $ inject_arg $ alerts_arg $ metrics_out_arg
+      $ instruments_arg $ flight_arg $ slo_arg $ inject_arg $ alerts_arg
       $ metrics_interval_arg)
 
 let validate_cmd =

@@ -144,63 +144,18 @@ let pipeline_arg =
   in
   Arg.(value & flag & info [ "pipeline" ] ~doc)
 
-let telemetry_arg =
-  let doc =
-    "Dry-run the synthesized pre-processor over each tenant's declared rank \
-     range (plus one unknown-tenant packet) and report the telemetry \
-     registry: match-table vs fallback hit counts and the live \
-     rank-approximation error distribution."
-  in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
-
-let trace_arg =
-  let doc =
-    "With --telemetry, write the dry-run's per-packet \"preprocess\" events \
-     to $(docv) as NDJSON (the \"t\" field is the packet index — there is \
-     no simulation clock in the control plane)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let trace_sample_arg =
-  let doc = "Probability that a dry-run event is recorded in the trace." in
-  Arg.(value & opt float 1.0 & info [ "trace-sample" ] ~docv:"RATE" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the telemetry dry run (floor 1; default: the \
-     machine's recommended domain count minus one)."
-  in
-  Arg.(
-    value
-    & opt int (Engine.Parallel.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let profile_arg =
-  let doc =
-    "Write a span profile of the run to $(docv) as Chrome trace-event JSON \
-     (load in Perfetto or chrome://tracing); a sorted self/total-time table \
-     is printed to stderr.  The profiled span structure is identical for \
-     any --jobs value."
-  in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
-let make_profiler profile =
-  match profile with
-  | Some _ -> Engine.Span.create ()
-  | None -> Engine.Span.disabled
-
-let write_profile profile profiler =
-  match profile with
-  | None -> ()
-  | Some path ->
-    (try
-       Out_channel.with_open_text path (fun oc ->
-           Engine.Span.write_chrome profiler oc)
-     with Sys_error e ->
-       Format.eprintf "cannot write profile: %s@." e;
-       exit 1);
-    Format.eprintf "%a@." Engine.Span.pp_table profiler;
-    Format.eprintf "wrote %s@." path
+let instruments_arg =
+  Cliopts.instruments
+    ~telemetry_doc:
+      "Dry-run the synthesized pre-processor over each tenant's declared \
+       rank range (plus one unknown-tenant packet) and report the telemetry \
+       registry: match-table vs fallback hit counts and the live \
+       rank-approximation error distribution."
+    ~trace_doc:
+      "With --telemetry, write the dry-run's per-packet \"preprocess\" \
+       events to $(docv) as NDJSON (the \"t\" field is the packet index — \
+       there is no simulation clock in the control plane)."
+    ()
 
 (* Cap the per-tenant label sweep so wide rank ranges stay cheap. *)
 let max_sweep_labels = 4096
@@ -242,26 +197,14 @@ let dry_run_parts tenants =
   in
   List.rev (fallback :: parts_rev)
 
-(* Runs on a worker domain: a private registry, a private pre-processor
-   over the shared (immutable) plan, and — when tracing — a private sink
-   on a temp file whose sampler is seeded from the partition index.  The
-   part's packet uids start after its [seq_offset], as in a serial run.
-   When profiling, the part also carries a private span profiler, merged
-   back in partition order. *)
-let run_dry_run_part ~plan ~trace ~trace_sample ~profiled part =
-  let prof = if profiled then Engine.Span.create () else Engine.Span.disabled in
+(* Runs on a worker domain with its part's private registry (its sink,
+   under --trace, sampled with a seed derived from the partition index)
+   and profiler, and a private pre-processor over the shared (immutable)
+   plan.  The part's packet uids start after its [seq_offset], as in a
+   serial run. *)
+let run_dry_run_part ~plan (slot : Cliopts.Run.part) part =
+  let prof = slot.Cliopts.Run.profiler and tel = slot.Cliopts.Run.registry in
   Engine.Span.with_ prof ~name:"plan.dry_run_part" @@ fun () ->
-  let tel = Engine.Telemetry.create () in
-  let sink =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let path, oc = Filename.open_temp_file "qvisor-trace" ".ndjson" in
-      Engine.Telemetry.attach_sink tel ~sample:trace_sample
-        ~seed:(Engine.Rng.derive ~seed:0 part.part_index)
-        oc;
-      Some (path, oc)
-  in
   let pre = Qvisor.Preprocessor.of_plan ~profiler:prof ~telemetry:tel plan in
   Sched.Packet.reset_uid_counter part.seq_offset;
   List.iteri
@@ -274,88 +217,51 @@ let run_dry_run_part ~plan ~trace ~trace_sample ~profiled part =
           ~kind:Engine.Recorder.Preprocess ~uid:p.Sched.Packet.uid ~link:(-1)
           ~tenant ~flow:(-1) ~rank_before:p.Sched.Packet.label
           ~rank:p.Sched.Packet.rank)
-    part.shots;
-  (tel, sink, prof)
+    part.shots
+
+(* Fan the per-tenant label sweeps out over worker domains, one part of
+   [instr] each; [Cliopts.Run.finish] merges them in partition order, so
+   the snapshot and the trace are identical for any --jobs value. *)
+let dry_run ~jobs instr ~plan tenants =
+  let parts = dry_run_parts tenants in
+  let seeds =
+    List.map (fun p -> Engine.Rng.derive ~seed:0 p.part_index) parts
+  in
+  ignore
+    (Engine.Parallel.map ~jobs
+       (fun (slot, part) -> run_dry_run_part ~plan slot part)
+       (List.combine (Cliopts.Run.parts instr ~seeds) parts))
 
 let plan_cmd =
-  let run tenant_specs policy_str queues levels json spec_file pipeline
-      telemetry trace trace_sample jobs profile =
+  let run tenant_specs policy_str queues levels json spec_file pipeline jobs
+      (ins : Cliopts.instruments) =
     let tenants, policy = resolve_spec spec_file tenant_specs policy_str in
     let config = { Qvisor.Synthesizer.default_config with levels } in
-    let profiler = make_profiler profile in
-    (* Exercise the pre-processor and return its registry snapshot (None
-       when telemetry is off). *)
-    if trace_sample < 0. || trace_sample > 1. then begin
-      Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-        trace_sample;
-      exit 1
-    end;
-    let run_telemetry plan =
-      if (not telemetry) && trace = None then None
-      else begin
-        (* Fan the per-tenant label sweeps out over worker domains; every
-           partition has its own registry (and trace temp file), merged
-           back in partition order so the snapshot and the trace are
-           identical for any --jobs value. *)
-        let parts = dry_run_parts tenants in
-        let results =
-          Engine.Parallel.map ~jobs:(max 1 jobs)
-            (run_dry_run_part ~plan ~trace ~trace_sample
-               ~profiled:(Engine.Span.is_enabled profiler))
-            parts
-        in
-        let merged = Engine.Telemetry.create () in
-        let final =
-          match trace with
-          | None -> None
-          | Some path ->
-            let oc =
-              try open_out path
-              with Sys_error e ->
-                Format.eprintf "cannot write trace: %s@." e;
-                exit 1
-            in
-            Engine.Telemetry.attach_sink merged ~sample:trace_sample oc;
-            Some (path, oc)
-        in
-        List.iteri
-          (fun i (tel, sink, prof) ->
-            Engine.Telemetry.merge_into ~into:merged tel;
-            Engine.Span.merge_into ~into:profiler ~tid:(i + 1) prof;
-            match (sink, final) with
-            | Some (tmp, tmp_oc), Some (_, oc) ->
-              Engine.Telemetry.detach_sink tel;
-              close_out tmp_oc;
-              let ic = open_in_bin tmp in
-              let len = in_channel_length ic in
-              output_string oc (really_input_string ic len);
-              close_in ic;
-              Sys.remove tmp
-            | Some (tmp, tmp_oc), None ->
-              Engine.Telemetry.detach_sink tel;
-              close_out tmp_oc;
-              Sys.remove tmp
-            | None, _ -> ())
-          results;
-        (* Snapshot before detaching so the trace stats are included. *)
-        let snap = Engine.Telemetry.snapshot merged in
-        (match final with
-        | None -> ()
-        | Some (path, oc) ->
-          Engine.Telemetry.detach_sink merged;
-          close_out oc;
-          Format.eprintf "wrote %s@." path);
-        Some snap
-      end
+    (* plan reports the snapshot itself (a text section or a JSON field),
+       so it asks for the registry directly rather than through
+       --telemetry's printing. *)
+    let instr =
+      Cliopts.exit_on_error
+        (Cliopts.Run.create ~registry:ins.telemetry
+           { ins with telemetry = false })
     in
-    match Qvisor.Synthesizer.synthesize ~profiler ~config ~tenants ~policy () with
+    (* Dry-run (under --telemetry or --trace), then write the outputs. *)
+    let finish plan =
+      if Engine.Telemetry.is_enabled (Cliopts.Run.registry instr) then
+        dry_run ~jobs instr ~plan tenants;
+      Cliopts.Run.finish instr
+    in
+    match
+      Qvisor.Synthesizer.synthesize ~profiler:(Cliopts.Run.profiler instr)
+        ~config ~tenants ~policy ()
+    with
     | Error e ->
       Format.eprintf "synthesis error: %s@." (Qvisor.Error.to_string e);
       exit 1
     | Ok plan when json ->
       let report = Qvisor.Analysis.check plan in
       let telemetry_fields =
-        match run_telemetry plan with
+        match finish plan with
         | None -> []
         | Some snap -> [ ("telemetry", snap) ]
       in
@@ -369,7 +275,6 @@ let plan_cmd =
           @ telemetry_fields)
       in
       print_endline (Engine.Json.to_string ~pretty:true payload);
-      write_profile profile profiler;
       if not report.Qvisor.Analysis.feasible then exit 2
     | Ok plan ->
       Format.printf "%a@.@." Qvisor.Synthesizer.pp_plan plan;
@@ -403,21 +308,18 @@ let plan_cmd =
          | Ok program ->
            Format.printf "@.%a@." Qvisor.Pipeline.pp_program program
          | Error e -> Format.printf "@.pipeline compilation failed: %s@." e);
-      (match run_telemetry plan with
-      | None -> ()
-      | Some snap ->
-        if telemetry then
-          Format.printf "@.telemetry:@.%s@."
-            (Engine.Json.to_string ~pretty:true snap));
-      write_profile profile profiler;
+      (match finish plan with
+      | Some snap when ins.telemetry ->
+        Format.printf "@.telemetry:@.%s@."
+          (Engine.Json.to_string ~pretty:true snap)
+      | _ -> ());
       if not report.Qvisor.Analysis.feasible then exit 2
   in
   let doc = "Synthesize a joint scheduling plan and analyze its guarantees." in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(
       const run $ tenants_arg $ policy_arg $ queues_arg $ levels_arg $ json_arg
-      $ spec_file_arg $ pipeline_arg $ telemetry_arg $ trace_arg
-      $ trace_sample_arg $ jobs_arg $ profile_arg)
+      $ spec_file_arg $ pipeline_arg $ Cliopts.jobs $ instruments_arg)
 
 let fit_cmd =
   let queues_required =
@@ -491,16 +393,6 @@ let conformance_cmd =
     let doc = "Number of generated scenarios to verify." in
     Arg.(value & opt int 200 & info [ "cases"; "n" ] ~docv:"N" ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Worker domains verifying cases in parallel (floor 1; results are \
-       identical for any value)."
-    in
-    Arg.(
-      value
-      & opt int (Engine.Parallel.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let replay_arg =
     let doc =
       "Replay a serialized reproducer (written by a failing run) through \
@@ -526,14 +418,12 @@ let conformance_cmd =
       & info [ "repro" ] ~docv:"FILE" ~doc)
   in
   let metrics_out_arg =
-    let doc =
-      "Write the fuzz run's telemetry (cases, events, divergences, \
-       per-backend inversion counters) to $(docv) as Prometheus text \
-       exposition — written even when the run fails, so a CI scrape sees \
-       the divergence counters."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+    Cliopts.metrics_out
+      ~doc:
+        "Write the fuzz run's telemetry (cases, events, divergences, \
+         per-backend inversion counters) to $(docv) as Prometheus text \
+         exposition — written even when the run fails, so a CI scrape sees \
+         the divergence counters."
   in
   let backends_for inject =
     Conformance.Differential.standard_backends ()
@@ -631,32 +521,23 @@ let conformance_cmd =
            Format.eprintf "cannot write flight dump: %s@." e))
   in
   let run_fuzz backends seed cases jobs repro profile metrics_out =
-    let profiler = make_profiler profile in
-    let tel = Option.map (fun _ -> Engine.Telemetry.create ()) metrics_out in
+    let instr =
+      Cliopts.exit_on_error
+        (Cliopts.Run.create { Cliopts.no_instruments with profile; metrics_out })
+    in
     let res =
-      Conformance.Differential.run_cases ~jobs ~profiler ?telemetry:tel
-        ~backends ~seed ~cases ()
+      Conformance.Differential.run_cases ~jobs
+        ~profiler:(Cliopts.Run.profiler instr)
+        ~telemetry:(Cliopts.Run.registry instr) ~backends ~seed ~cases ()
     in
     (* Before any failure exit: CI scrapes the divergence counters. *)
-    (match (metrics_out, tel) with
-    | Some path, Some tel ->
-      (* Atomic: a CI scraper racing the writer must never read a
-         truncated exposition file. *)
-      (try
-         Engine.Perf.write_atomic path (fun oc ->
-             output_string oc (Engine.Exposition.render tel))
-       with Sys_error e ->
-         Format.eprintf "cannot write metrics: %s@." e;
-         exit 1);
-      Format.eprintf "wrote %s@." path
-    | _ -> ());
+    ignore (Cliopts.Run.finish instr);
     Format.printf "%a@." Conformance.Differential.pp_run res;
     List.iter
       (fun (i, e) -> Format.eprintf "case %d: synthesis error: %s@." i e)
       res.Conformance.Differential.errors;
     match res.Conformance.Differential.failures with
     | [] ->
-      write_profile profile profiler;
       if res.Conformance.Differential.errors <> [] then exit 1;
       Format.printf
         "all %d cases conform: exact backends match the oracle verbatim@."
@@ -688,7 +569,6 @@ let conformance_cmd =
         small.Conformance.Scenario.capacity_pkts repro;
       dump_flight backend small repro;
       Format.printf "  replay with: qvisor-cli conformance --replay %s@." repro;
-      write_profile profile profiler;
       exit 1
   in
   let run seed cases jobs replay inject repro profile metrics_out =
@@ -699,7 +579,7 @@ let conformance_cmd =
     let backends = backends_for inject in
     match replay with
     | Some path -> run_replay backends path
-    | None -> run_fuzz backends seed cases (max 1 jobs) repro profile metrics_out
+    | None -> run_fuzz backends seed cases jobs repro profile metrics_out
   in
   let doc =
     "Differentially verify scheduler backends against an ideal-PIFO oracle \
@@ -713,8 +593,8 @@ let conformance_cmd =
   in
   Cmd.v (Cmd.info "conformance" ~doc)
     Term.(
-      const run $ seed_arg $ cases_arg $ jobs_arg $ replay_arg $ inject_arg
-      $ repro_arg $ profile_arg $ metrics_out_arg)
+      const run $ seed_arg $ cases_arg $ Cliopts.jobs $ replay_arg $ inject_arg
+      $ repro_arg $ Cliopts.profile $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* metrics: Prometheus text exposition of a control-plane dry run     *)
@@ -764,32 +644,19 @@ let metrics_cmd =
       | Ok plan ->
         (* Same partitioned dry run as `plan --telemetry`, rendered as
            exposition text instead of a JSON snapshot. *)
-        let results =
-          Engine.Parallel.map ~jobs:(max 1 jobs)
-            (run_dry_run_part ~plan ~trace:None ~trace_sample:1.0
-               ~profiled:false)
-            (dry_run_parts tenants)
+        let tenant_names =
+          List.map (fun t -> (t.Qvisor.Tenant.id, t.Qvisor.Tenant.name)) tenants
         in
-        let merged = Engine.Telemetry.create () in
-        List.iter
-          (fun (tel, _, _) -> Engine.Telemetry.merge_into ~into:merged tel)
-          results;
-        let text =
-          Engine.Exposition.render
-            ~tenant_names:
-              (List.map
-                 (fun t -> (t.Qvisor.Tenant.id, t.Qvisor.Tenant.name))
-                 tenants)
-            merged
+        let instr =
+          Cliopts.exit_on_error
+            (Cliopts.Run.create ~registry:true ~tenant_names
+               { Cliopts.no_instruments with metrics_out = out })
         in
-        (match out with
-        | None -> print_string text
-        | Some path ->
-          (try Engine.Perf.write_atomic path (fun oc -> output_string oc text)
-           with Sys_error e ->
-             Format.eprintf "cannot write metrics: %s@." e;
-             exit 1);
-          Format.eprintf "wrote %s@." path))
+        dry_run ~jobs instr ~plan tenants;
+        ignore (Cliopts.Run.finish instr);
+        if out = None then
+          print_string
+            (Engine.Exposition.render ~tenant_names (Cliopts.Run.registry instr)))
   in
   let doc =
     "Render a pre-processor dry run as Prometheus text exposition (or, with \
@@ -799,7 +666,7 @@ let metrics_cmd =
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
       const run $ tenants_arg $ policy_arg $ levels_arg $ spec_file_arg
-      $ jobs_arg $ validate_arg $ out_arg)
+      $ Cliopts.jobs $ validate_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench: statistically-gated comparison of benchmark reports         *)

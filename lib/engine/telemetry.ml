@@ -158,7 +158,7 @@ let histogram t name =
 (* ------------------------------------------------------------------ *)
 
 let attach_sink t ?(sample = 1.0) ?(seed = 0) oc =
-  if sample < 0. || sample > 1. then
+  if not (sample >= 0. && sample <= 1.) then
     invalid_arg "Telemetry.attach_sink: sample outside [0,1]";
   if t.enabled then begin
     (* Flush the sink being replaced so its buffered lines reach the old

@@ -93,7 +93,7 @@ val attach_sink : t -> ?sample:float -> ?seed:int -> out_channel -> unit
     sink's channel is flushed first, so buffered NDJSON lines are never
     lost by a swap (the old channel is not closed — it stays owned by
     whoever attached it).
-    @raise Invalid_argument unless [0. <= sample <= 1.]. *)
+    @raise Invalid_argument unless [0. <= sample <= 1.] ([nan] included). *)
 
 val detach_sink : t -> unit
 (** Flush and forget the sink.  The channel is flushed so every buffered

@@ -109,53 +109,48 @@ let sweep_schemes =
     Experiments.Fig4.Qvisor_policy "pfabric >> edf";
   ]
 
-(* Run the sweep with per-job registries, each with a private trace sink
-   sampled at 5% and seeded by its job, and merge them in job order — the
-   same shape bin/experiments.exe uses — returning the stripped result
-   rows, the merged snapshot and the joined trace. *)
+(* Run the sweep through the CLIs' fan-out (Cliopts.Run): per-job
+   registries, each with a private trace sink sampled at 5% and seeded by
+   its job, merged in job order — returning the stripped result rows,
+   the merged snapshot and the joined trace. *)
 let sweep_with ~jobs =
   let grid =
     Experiments.Fig4.jobs_of_grid tiny_params ~loads:sweep_loads
       ~schemes:sweep_schemes
   in
-  let slots =
-    List.map
-      (fun j ->
-        let tel = Engine.Telemetry.create () in
-        let path = Filename.temp_file "qvisor_sweep" ".ndjson" in
-        let oc = open_out_bin path in
-        Engine.Telemetry.attach_sink tel ~sample:0.05
-          ~seed:j.Experiments.Fig4.job_seed oc;
-        (j.Experiments.Fig4.index, (tel, path, oc)))
-      grid
+  let trace = Filename.temp_file "qvisor_sweep" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let instr =
+    Result.get_ok
+      (Cliopts.Run.create
+         {
+           Cliopts.no_instruments with
+           trace = Some trace;
+           trace_sample = 0.05;
+         })
   in
-  let telemetry_for j =
-    let tel, _, _ = List.assoc j.Experiments.Fig4.index slots in
-    tel
+  let parts =
+    Array.of_list
+      (Cliopts.Run.parts instr
+         ~seeds:(List.map (fun j -> j.Experiments.Fig4.job_seed) grid))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, (_, path, _)) -> Sys.remove path) slots)
-  @@ fun () ->
-  let outcome = Experiments.Fig4.run_jobs ~jobs ~telemetry_for tiny_params grid in
-  let merged = Engine.Telemetry.create () in
-  let trace = Buffer.create (1 lsl 20) in
-  List.iter
-    (fun (_, (tel, path, oc)) ->
-      Engine.Telemetry.merge_into ~into:merged tel;
-      Engine.Telemetry.detach_sink tel;
-      close_out oc;
-      Buffer.add_string trace (In_channel.with_open_bin path In_channel.input_all))
-    slots;
+  let outcome =
+    Experiments.Fig4.run_jobs ~jobs
+      ~telemetry_for:(fun j ->
+        parts.(j.Experiments.Fig4.index).Cliopts.Run.registry)
+      tiny_params grid
+  in
+  ignore (Cliopts.Run.finish instr);
   match outcome with
   | Error e -> Alcotest.failf "sweep failed: %s" (Qvisor.Error.to_string e)
   | Ok results ->
+    let merged = Cliopts.Run.registry instr in
     Engine.Telemetry.Gauge.set
       (Engine.Telemetry.gauge merged "sim.wall_seconds")
       0.;
     ( List.map strip results,
       Engine.Json.to_string (Engine.Telemetry.snapshot merged),
-      Buffer.contents trace )
+      In_channel.with_open_bin trace In_channel.input_all )
 
 let test_jobs_invariant_results () =
   let serial, snap1, trace1 = sweep_with ~jobs:1 in
@@ -212,6 +207,111 @@ let test_sweep_error_propagates () =
   | Error (Qvisor.Error.Unknown_tenant _) -> ()
   | Error e ->
     Alcotest.failf "wrong error: %s" (Qvisor.Error.to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* Cliopts: the CLIs' shared converters and fan-out                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_probability_conv () =
+  let parse = Cmdliner.Arg.conv_parser Cliopts.probability in
+  List.iter
+    (fun s ->
+      match parse s with
+      | Ok _ -> ()
+      | Error (`Msg m) -> Alcotest.failf "%S should parse: %s" s m)
+    [ "0"; "0.01"; "1" ];
+  List.iter
+    (fun s ->
+      match parse s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%S should be rejected (got %g)" s v)
+    [ "-0.1"; "1.5"; "nan"; "inf" ]
+
+let test_signal_exit_status () =
+  let status = Cliopts.exit_status_of_signal in
+  Alcotest.(check int) "SIGINT" 130 (status Sys.sigint);
+  Alcotest.(check int) "SIGTERM" 143 (status Sys.sigterm);
+  Alcotest.(check int) "SIGHUP" 129 (status Sys.sighup);
+  Alcotest.(check int) "a raw system number" 168 (status 40)
+
+(* Point the temp directory at a fresh one for [f], so the test can see
+   every file the fan-out leaves behind. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "qvisor_fanout" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* A traced run with three parts, one event each; [stop] ends it. *)
+let traced_parts ~stop dir =
+  let trace =
+    Filename.temp_file ~temp_dir:(Filename.dirname dir) "qvisor_final"
+      ".ndjson"
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let instr =
+    Result.get_ok
+      (Cliopts.Run.create { Cliopts.no_instruments with trace = Some trace })
+  in
+  let parts = Cliopts.Run.parts instr ~seeds:[ 1; 2; 3 ] in
+  Alcotest.(check int) "one temp file per part" 3
+    (Array.length (Sys.readdir dir));
+  List.iteri
+    (fun uid (p : Cliopts.Run.part) ->
+      Engine.Telemetry.trace p.Cliopts.Run.registry ~time:0.
+        ~kind:Engine.Recorder.Enqueue ~uid ~link:0 ~tenant:0 ~flow:0
+        ~rank_before:(-1) ~rank:0)
+    parts;
+  stop instr;
+  Alcotest.(check (array string)) "temp dir empty" [||] (Sys.readdir dir);
+  In_channel.with_open_bin trace In_channel.input_all
+
+let test_fanout_finish_removes_temps () =
+  with_temp_dir @@ fun dir ->
+  let trace =
+    traced_parts dir ~stop:(fun instr -> ignore (Cliopts.Run.finish instr))
+  in
+  let uids =
+    String.split_on_char '\n' trace
+    |> List.filter (( <> ) "")
+    |> List.map (fun line ->
+           match Engine.Json.of_string line with
+           | Ok json -> (
+             match Engine.Recorder.event_of_json json with
+             | Ok ev -> ev.Engine.Recorder.uid
+             | Error e -> Alcotest.fail e)
+           | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check (list int)) "parts concatenated in order" [ 0; 1; 2 ] uids
+
+let test_fanout_abort_removes_temps () =
+  with_temp_dir @@ fun dir ->
+  let trace = traced_parts dir ~stop:Cliopts.Run.abort in
+  Alcotest.(check string) "nothing merged" "" trace
+
+let test_fanout_unwritable_trace () =
+  with_temp_dir @@ fun dir ->
+  match
+    Cliopts.Run.create
+      {
+        Cliopts.no_instruments with
+        trace = Some (Filename.concat dir "missing/t.ndjson");
+      }
+  with
+  | Ok _ -> Alcotest.fail "an unwritable trace must fail before any part"
+  | Error msg ->
+    Alcotest.(check bool) msg true
+      (String.starts_with ~prefix:"cannot write trace" msg);
+    Alcotest.(check (array string)) "no temp file" [||] (Sys.readdir dir)
 
 (* ------------------------------------------------------------------ *)
 (* CSV export                                                         *)
@@ -361,6 +461,19 @@ let () =
             test_jobs_of_grid_order_and_seeds;
           Alcotest.test_case "error propagates" `Slow
             test_sweep_error_propagates;
+        ] );
+      ( "cliopts",
+        [
+          Alcotest.test_case "probability converter" `Quick
+            test_probability_conv;
+          Alcotest.test_case "signal exit status" `Quick
+            test_signal_exit_status;
+          Alcotest.test_case "fan-out finish removes temp files" `Quick
+            test_fanout_finish_removes_temps;
+          Alcotest.test_case "fan-out abort removes temp files" `Quick
+            test_fanout_abort_removes_temps;
+          Alcotest.test_case "unwritable trace fails first" `Quick
+            test_fanout_unwritable_trace;
         ] );
       ( "config",
         [

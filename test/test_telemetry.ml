@@ -82,6 +82,8 @@ let test_attach_sink_validates_sample () =
         (raises (fun () -> Tel.attach_sink tel ~sample:(-0.1) oc));
       Alcotest.(check bool) "above one rejected" true
         (raises (fun () -> Tel.attach_sink tel ~sample:1.1 oc));
+      Alcotest.(check bool) "nan rejected" true
+        (raises (fun () -> Tel.attach_sink tel ~sample:nan oc));
       close_out oc)
 
 (* ------------------------------------------------------------------ *)
