@@ -1,13 +1,15 @@
-(* The assembled hypervisor on a live fabric, driven by a recorded trace.
+(* The assembled scheduling hypervisor (the paper's Fig. 1 box) on a live
+   fabric, driven by a recorded trace.
 
    This example exercises the "production" workflow end to end:
 
    1. synthesize a flow trace offline and freeze it to disk (the stand-in
       for importing a measured production trace);
-   2. create a Hypervisor (synthesizer + pre-processor + runtime monitor
-      + adversarial guard) for two tenants and an operator policy;
+   2. assemble the box for three tenants and an operator policy the way
+      Fig. 4's audited runs do: synthesizer -> pre-processor, with the
+      adversarial guard in front of it;
    3. replay the trace through a leaf-spine fabric whose ports run PIFOs
-      behind the hypervisor's line-rate hook, while a third, misbehaving
+      behind the guarded pre-processor, while a third, misbehaving
       traffic source hammers top ranks;
    4. report FCTs, the guard's verdicts, and the hottest links.
 
@@ -33,8 +35,8 @@ let () =
   Format.printf "trace: %d flows frozen to %s and reloaded@." (List.length specs)
     trace_path;
 
-  (* 2. The hypervisor: an interactive pFabric tenant isolated above a
-     deadline tenant, guard armed. *)
+  (* 2. The box: an interactive pFabric tenant isolated above a deadline
+     tenant, guard armed. *)
   let tenants =
     [
       Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:30_000 ~id:0
@@ -45,13 +47,19 @@ let () =
         ~name:"rogue" ();
     ]
   in
-  let hv =
-    Qvisor.Hypervisor.create_exn
-      ~guard:{ Qvisor.Guard.default_config with window = 128 }
-      ~tenants ~policy:"interactive >> deadline + rogue" ()
+  let plan =
+    Qvisor.Synthesizer.synthesize_exn ~tenants
+      ~policy:(Qvisor.Policy.parse_exn "interactive >> deadline + rogue")
+      ()
+  in
+  let pre = Qvisor.Preprocessor.of_plan plan in
+  let guard =
+    Qvisor.Guard.create
+      ~config:{ Qvisor.Guard.default_config with window = 128 }
+      ~tenants ()
   in
 
-  (* 3. Fabric with the hypervisor's hook installed on every port. *)
+  (* 3. Fabric with the guarded pre-processor installed on every port. *)
   let topo =
     Netsim.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:4
       ~access_rate:1e9 ~fabric_rate:4e9 ~link_delay:1e-6
@@ -62,7 +70,7 @@ let () =
   let net =
     Netsim.Net.create ~sim ~topo ~routing
       ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
-      ~preprocess:(Qvisor.Hypervisor.process hv)
+      ~preprocess:(Qvisor.Guard.process guard pre)
       ~deliver:(Netsim.Transport.deliver transport)
       ()
   in
@@ -100,7 +108,7 @@ let () =
   Format.printf "@.interactive tenant FCTs:@.  %a@." Netsim.Metrics.pp_summary
     metrics;
   let verdict_str id =
-    match Qvisor.Hypervisor.verdict hv ~tenant_id:id with
+    match Qvisor.Guard.verdict guard ~tenant_id:id with
     | Qvisor.Guard.Conforming -> "conforming"
     | Qvisor.Guard.Suspicious _ -> "SUSPICIOUS"
     | Qvisor.Guard.Malicious _ -> "MALICIOUS (parked at worst rank)"
@@ -112,6 +120,6 @@ let () =
     (fun (link_id, u) ->
       Format.printf "  link %2d: %4.1f%% utilized@." link_id (100. *. u))
     (Netsim.Net.busiest_links net ~now:0.05 ~top:5);
-  Format.printf "@.packets through the hypervisor: %d@."
-    (Qvisor.Hypervisor.packets_processed hv);
+  Format.printf "@.packets through the pre-processor: %d@."
+    (Qvisor.Preprocessor.processed pre);
   Sys.remove trace_path

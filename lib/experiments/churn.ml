@@ -8,9 +8,6 @@ type result = {
 }
 
 type params = {
-  leaves : int;
-  spines : int;
-  hosts_per_leaf : int;
   t1_load : float;
   t3_load : float;
   t_join : float;
@@ -21,9 +18,6 @@ type params = {
 
 let default =
   {
-    leaves = 2;
-    spines = 2;
-    hosts_per_leaf = 4;
     t1_load = 0.35;
     t3_load = 0.6;
     t_join = 0.1;
@@ -32,21 +26,13 @@ let default =
     seed = 1;
   }
 
-let access_rate = 1e9
-
-let fabric_rate = 4e9
-
 let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) params ~qvisor =
   Engine.Span.with_ profiler ~name:"churn.run" @@ fun () ->
   Sched.Packet.reset_uid_counter 0;
-  let num_hosts = params.leaves * params.hosts_per_leaf in
-  let topo =
-    Netsim.Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines
-      ~hosts_per_leaf:params.hosts_per_leaf ~access_rate ~fabric_rate
-      ~link_delay:1e-6
-  in
-  let routing = Netsim.Routing.compute topo in
+  let topo, routing = Fig4.fabric Fig4.quick in
+  let num_hosts = Netsim.Topology.num_hosts topo in
+  let access_rate = Fig4.quick.Fig4.access_rate in
   let sim = Engine.Sim.create ~profiler () in
   let rng = Engine.Rng.create ~seed:params.seed in
   let transport = Netsim.Transport.create ~sim () in

@@ -1,7 +1,8 @@
 (** Ablation A3: the paper's Fig. 2 timeline under congestion.
 
-    An interactive pFabric tenant (T1) and a deadline EDF tenant (T2) run
-    from the start; at [t_join] a background fair-queuing tenant (T3)
+    On the quick Fig. 4 fabric ({!Fig4.quick}: 8 hosts on a 2x2
+    leaf-spine), an interactive pFabric tenant (T1) and a deadline EDF
+    tenant (T2) run from the start; at [t_join] a background fair-queuing tenant (T3)
     starts blasting large flows.  The operator policy is
     [T1 + T2 >> T3]: the background tenant must never disturb the other
     two.
@@ -24,9 +25,6 @@ type result = {
 }
 
 type params = {
-  leaves : int;
-  spines : int;
-  hosts_per_leaf : int;
   t1_load : float;
   t3_load : float;
   t_join : float;

@@ -1,12 +1,13 @@
 (** Typed errors for the QVISOR public API.
 
     Every fallible constructor in the library ({!Runtime.create},
-    {!Hypervisor.create}, {!Deploy.instantiate}, {!Synthesizer.synthesize},
-    the experiment harnesses) reports failure as [(_, Error.t) result]
-    rather than a bare string or a stray [Invalid_argument].  Typed errors
-    matter once work is fanned out across domains: a worker returns its
-    failure as a value, the caller pattern-matches on the variant, and no
-    exception ever crosses a domain boundary. *)
+    {!Deploy.instantiate}, {!Synthesizer.synthesize},
+    {!Serialize.tenant_of_json}, the experiment harnesses) reports
+    failure as [(_, Error.t) result] rather than a bare string or a stray
+    [Invalid_argument].  Typed errors matter once work is fanned out
+    across domains: a worker returns its failure as a value, the caller
+    pattern-matches on the variant, and no exception ever crosses a
+    domain boundary. *)
 
 type t =
   | Policy_parse of string

@@ -40,10 +40,10 @@ type instruments = {
 
 type t = {
   config : config;
-  (* Dense by tenant id — [process] runs per packet per hop, and an
-     array probe into preallocated option cells is allocation-free.
-     [watch] grows the array as churn brings higher ids. *)
-  mutable states : tenant_state option array;
+  (* Dense by tenant id, fixed at [create] — [process] runs per packet
+     per hop, and an array probe into preallocated option cells is
+     allocation-free. *)
+  states : tenant_state option array;
   ins : instruments option;
 }
 
@@ -83,20 +83,6 @@ let create ?(config = default_config) ?telemetry ?clock:_ ~tenants () =
 let state t id =
   if id >= 0 && id < Array.length t.states then Array.unsafe_get t.states id
   else None
-
-let watch t spec =
-  let id = spec.Tenant.id in
-  if id < 0 then invalid_arg "Guard.watch: negative tenant id";
-  if id >= Array.length t.states then begin
-    let grown = Array.make (id + 1) None in
-    Array.blit t.states 0 grown 0 (Array.length t.states);
-    t.states <- grown
-  end;
-  t.states.(id) <- Some (fresh_state spec)
-
-let unwatch t ~tenant_id =
-  if tenant_id >= 0 && tenant_id < Array.length t.states then
-    t.states.(tenant_id) <- None
 
 (* The "best decile": the lowest tenth of the tenant's declared range —
    the ranks that always win within the tenant's own band. *)

@@ -53,7 +53,11 @@ val create :
   tenants:Tenant.t list ->
   unit ->
   t
-(** With [telemetry], verdict {e transitions} feed the metrics layer:
+(** The watched population is [tenants], fixed here: any other tenant id
+    is {!Conforming} and passes unconditioned (the pre-processor's
+    fallback already parks undeclared tenants).
+
+    With [telemetry], verdict {e transitions} feed the metrics layer:
     [guard.suspicious] / [guard.malicious] count each entry into the
     respective verdict (re-entry after recovery counts again).  [clock]
     is ignored; it stays only because [perfbench/fig4w.ml] passes it. *)
@@ -77,10 +81,3 @@ val process :
     plan's transformation. *)
 
 val strikes : t -> tenant_id:int -> int
-
-val watch : t -> Tenant.t -> unit
-(** Start watching a tenant that joined at runtime (fresh, strike-free
-    state; replaces any previous spec for the same id). *)
-
-val unwatch : t -> tenant_id:int -> unit
-(** Forget a departed tenant. *)

@@ -68,8 +68,6 @@ let process t p =
   observe t p;
   Preprocessor.process t.pre p
 
-let preprocessor t = t.pre
-
 let plan t = Preprocessor.plan t.pre
 
 let resyntheses t = t.resyntheses
@@ -109,8 +107,11 @@ let remove_tenant t ~tenant_id ?policy () =
   else begin
     let tenants = List.filter (fun x -> x.Tenant.id <> tenant_id) t.tenants in
     let policy = Option.value policy ~default:t.policy in
-    forget t ~tenant_id;
-    redeploy t tenants policy
+    match redeploy t tenants policy with
+    | Error _ as e -> e
+    | Ok () ->
+      forget t ~tenant_id;
+      Ok ()
   end
 
 let tenants t = t.tenants

@@ -37,12 +37,6 @@ val process : t -> Sched.Packet.t -> unit
     observed range, then apply the current transformation.  Install this
     as the fabric's [preprocess] hook. *)
 
-val observe : t -> Sched.Packet.t -> unit
-(** Only the observation half of {!process} — for callers that route the
-    transformation through their own path (e.g. the guarded hypervisor). *)
-
-val preprocessor : t -> Preprocessor.t
-
 val plan : t -> Synthesizer.plan
 
 val resyntheses : t -> int
@@ -63,7 +57,8 @@ val remove_tenant :
   t -> tenant_id:int -> ?policy:Policy.t -> unit -> (unit, Error.t) result
 (** A tenant leaves.  [?policy] replaces the operator policy when the
     current one would still name the departed tenant (which it normally
-    does). *)
+    does).  Atomic like every redeploy: the tenant's observed range is
+    forgotten only once the new plan is in. *)
 
 val tenants : t -> Tenant.t list
 (** The currently-deployed tenant population, in deployment order. *)

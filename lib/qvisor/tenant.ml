@@ -9,6 +9,7 @@ type t = {
 
 let make ?(algorithm = "custom") ?(rank_lo = 0) ?(rank_hi = 65535)
     ?(weight = 1.0) ~id ~name () =
+  if id < 0 then invalid_arg "Tenant.make: negative id";
   if name = "" then invalid_arg "Tenant.make: empty name";
   if rank_lo > rank_hi then invalid_arg "Tenant.make: rank_lo > rank_hi";
   if weight <= 0. then invalid_arg "Tenant.make: weight <= 0";

@@ -26,7 +26,8 @@ val make :
   unit ->
   t
 (** Defaults: [algorithm = "custom"], range [0, 65535], weight 1.0.
-    @raise Invalid_argument if [rank_lo > rank_hi], the name is empty,
+    @raise Invalid_argument if [id < 0] (ids index the pre-processor's
+    and guard's dense tables), [rank_lo > rank_hi], the name is empty,
     or [weight <= 0]. *)
 
 val range_width : t -> int

@@ -600,6 +600,34 @@ let test_slow_reader_holds_back_only_itself () =
   Unix.close hog;
   shutdown_over other server_thread
 
+(* A tenant-add whose tenant carries a negative id is refused with a
+   typed error, leaves the deployment as it was, and the daemon goes on
+   answering.  Such an id would index the pre-processor's dense table. *)
+let test_negative_tenant_id_refused () =
+  let t = temp_server () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let fd = connect_ctl t in
+  let hostile = { (tenant ~id:9 "neg") with Qvisor.Tenant.id = -1 } in
+  (match
+     rpc fd
+       (Daemon.Proto.Tenant_add
+          { tenant = hostile; policy = Some (policy "edf >> pfabric + neg") })
+   with
+  | Error (Qvisor.Error.Config _) -> ()
+  | Error e -> Alcotest.failf "not a config error: %s" (Qvisor.Error.to_string e)
+  | Ok _ -> Alcotest.fail "a negative tenant id must be refused"
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+    Alcotest.fail "no reply to the hostile tenant-add");
+  (match rpc fd Daemon.Proto.Status with
+  | Ok (Daemon.Proto.Status_reply st) ->
+    Alcotest.(check int) "epoch unchanged" 1 st.Daemon.Proto.epoch;
+    Alcotest.(check (list string)) "tenants unchanged" [ "pfabric"; "edf" ]
+      (List.map (fun ts -> ts.Daemon.Proto.ts_name) st.Daemon.Proto.tenants)
+  | _ -> Alcotest.fail "status after the refusal"
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+    Alcotest.fail "no status reply after the hostile tenant-add");
+  shutdown_over fd server_thread
+
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
 (* ------------------------------------------------------------------ *)
@@ -880,5 +908,7 @@ let () =
             test_answered_inside_slice;
           Alcotest.test_case "slow reader holds back only itself" `Slow
             test_slow_reader_holds_back_only_itself;
+          Alcotest.test_case "negative tenant id is refused" `Slow
+            test_negative_tenant_id_refused;
         ] );
     ]

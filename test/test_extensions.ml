@@ -845,10 +845,10 @@ let test_permutation_all_hosts_send () =
   Alcotest.(check bool) "some flows completed" true (List.length !sources >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Hypervisor hot-swap under live traffic                             *)
+(* Runtime hot-swap under live traffic                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_hypervisor_hot_swap_live_fabric () =
+let test_runtime_hot_swap_live_fabric () =
   (* Traffic is in flight when a third tenant joins and the plan is
      swapped: nothing crashes, pre-swap packets finish, post-swap packets
      of the newcomer are scheduled below the incumbents. *)
@@ -859,20 +859,20 @@ let test_hypervisor_hot_swap_live_fabric () =
   let routing = Netsim.Routing.compute topo in
   let sim = Engine.Sim.create () in
   let transport = Netsim.Transport.create ~sim () in
-  let hv =
-    Qvisor.Hypervisor.create_exn
+  let rt =
+    Qvisor.Runtime.create_exn
       ~tenants:
         [
           Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_hi:30_000 ~id:0
             ~name:"T1" ();
           Qvisor.Tenant.make ~algorithm:"edf" ~rank_hi:150 ~id:1 ~name:"T2" ();
         ]
-      ~policy:"T1 + T2" ()
+      ~policy:(parse "T1 + T2") ()
   in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
       ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
-      ~preprocess:(Qvisor.Hypervisor.process hv)
+      ~preprocess:(Qvisor.Runtime.process rt)
       ~deliver:(Netsim.Transport.deliver transport)
       ()
   in
@@ -895,10 +895,10 @@ let test_hypervisor_hot_swap_live_fabric () =
   ignore
     (Engine.Sim.schedule_at sim ~time:0.001 (fun () ->
          (match
-            Qvisor.Hypervisor.add_tenant hv
+            Qvisor.Runtime.add_tenant rt
               (Qvisor.Tenant.make ~algorithm:"stfq" ~rank_hi:5_000 ~id:2
                  ~name:"T3" ())
-              ~policy:"T1 + T2 >> T3" ()
+              ~policy:(parse "T1 + T2 >> T3") ()
           with
          | Ok () -> ()
          | Error e -> Alcotest.failf "hot add failed: %s" (Qvisor.Error.to_string e));
@@ -911,8 +911,8 @@ let test_hypervisor_hot_swap_live_fabric () =
   (* The swapped plan actually governs the data path now. *)
   let p_new = Sched.Packet.make ~tenant:2 ~rank:0 ~flow:9 ~size:1000 () in
   let p_old = Sched.Packet.make ~tenant:0 ~rank:30_000 ~flow:9 ~size:1000 () in
-  Qvisor.Hypervisor.process hv p_new;
-  Qvisor.Hypervisor.process hv p_old;
+  Qvisor.Runtime.process rt p_new;
+  Qvisor.Runtime.process rt p_old;
   Alcotest.(check bool) "post-swap isolation" true
     (p_old.Sched.Packet.rank < p_new.Sched.Packet.rank)
 
@@ -1026,7 +1026,7 @@ let () =
         ] );
       ( "hot_swap",
         [
-          Alcotest.test_case "live fabric" `Quick test_hypervisor_hot_swap_live_fabric;
+          Alcotest.test_case "live fabric" `Quick test_runtime_hot_swap_live_fabric;
         ] );
       ( "churn",
         [ Alcotest.test_case "qvisor protects T1" `Slow test_churn_qvisor_protects ] );

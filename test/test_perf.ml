@@ -303,7 +303,10 @@ let row_verdict report metric =
   | Some r -> r.Perf.Diff.r_verdict
   | None -> Alcotest.failf "no row for %S" metric
 
-let verdict = Alcotest.testable Fmt.(of_to_string Perf.Diff.verdict_name) ( = )
+let verdict =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Perf.Diff.verdict_name v))
+    ( = )
 
 let test_diff_identical () =
   let entries =

@@ -835,6 +835,24 @@ let test_runtime_refresh_tightens () =
         (Qvisor.Runtime.observed_range rt ~tenant_id))
     [ 1; 2; 40; -2 ]
 
+let test_runtime_failed_remove_keeps_observation () =
+  (* A removal the current policy refuses (it still names T2) changes
+     nothing: T2 stays deployed and keeps its observed range, which a
+     later refresh plans it from. *)
+  let rt =
+    Qvisor.Runtime.create_exn ~tenants:(runtime_tenants ()) ~policy:(parse "T1 >> T2") ()
+  in
+  Qvisor.Runtime.process rt (mk_packet ~tenant:2 ~rank:7);
+  (match Qvisor.Runtime.remove_tenant rt ~tenant_id:2 () with
+  | Error (Qvisor.Error.Unknown_tenant _) -> ()
+  | Error e -> Alcotest.failf "unexpected error: %s" (Qvisor.Error.to_string e)
+  | Ok () -> Alcotest.fail "a policy still naming T2 must refuse its removal");
+  Alcotest.(check (list int)) "T2 still deployed" [ 1; 2 ]
+    (List.map (fun tn -> tn.Qvisor.Tenant.id) (Qvisor.Runtime.tenants rt));
+  Alcotest.(check int) "no resynthesis" 0 (Qvisor.Runtime.resyntheses rt);
+  Alcotest.(check (option (pair int int))) "T2's observation kept" (Some (7, 7))
+    (Qvisor.Runtime.observed_range rt ~tenant_id:2)
+
 let test_runtime_swap_preserves_isolation () =
   (* After a swap, packets processed through the runtime still respect the
      new plan's strict tiers. *)
@@ -853,130 +871,52 @@ let test_runtime_swap_preserves_isolation () =
     (p3.Sched.Packet.rank < p1.Sched.Packet.rank)
 
 (* ------------------------------------------------------------------ *)
-(* Hypervisor facade                                                  *)
+(* The assembled Fig. 1 box                                           *)
 (* ------------------------------------------------------------------ *)
 
-let hypervisor () =
-  Qvisor.Hypervisor.create_exn
-    ~tenants:
-      [
-        mk_tenant ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:1000 1 "T1";
-        mk_tenant ~algorithm:"edf" ~rank_lo:0 ~rank_hi:100 2 "T2";
-      ]
-    ~policy:"T1 >> T2" ()
+(* Synthesizer -> pre-processor, with the guard in front of it: the
+   composition Fig. 4's audited runs and examples/hypervisor_fabric.ml
+   install as the fabric's [preprocess] hook. *)
+let assembled_box ?(guard = Qvisor.Guard.default_config) ~tenants policy =
+  let plan = Qvisor.Synthesizer.synthesize_exn ~tenants ~policy:(parse policy) () in
+  let pre = Qvisor.Preprocessor.of_plan plan in
+  (pre, Qvisor.Guard.create ~config:guard ~tenants ())
 
-let test_hv_create_and_process () =
-  let hv = hypervisor () in
+let test_box_create_and_process () =
+  let pre, guard = assembled_box ~tenants:(runtime_tenants ()) "T1 >> T2" in
   let p1 = mk_packet ~tenant:1 ~rank:500 in
   let p2 = mk_packet ~tenant:2 ~rank:0 in
-  Qvisor.Hypervisor.process hv p1;
-  Qvisor.Hypervisor.process hv p2;
-  Alcotest.(check int) "processed" 2 (Qvisor.Hypervisor.packets_processed hv);
+  Qvisor.Guard.process guard pre p1;
+  Qvisor.Guard.process guard pre p2;
+  Alcotest.(check int) "processed" 2 (Qvisor.Preprocessor.processed pre);
   Alcotest.(check bool) "T1 beats T2 after transformation" true
     (p1.Sched.Packet.rank < p2.Sched.Packet.rank)
 
-let test_hv_bad_policy () =
-  Alcotest.(check bool) "parse error surfaces" true
-    (Result.is_error
-       (Qvisor.Hypervisor.create
-          ~tenants:[ mk_tenant 1 "T1" ]
-          ~policy:"T1 >>" ()))
-
-let test_hv_analysis_and_scheduler () =
-  let hv = hypervisor () in
-  let report = Qvisor.Hypervisor.analyze hv in
-  Alcotest.(check bool) "feasible" true report.Qvisor.Analysis.feasible;
-  let q =
-    Qvisor.Hypervisor.make_scheduler_exn hv
-      (Qvisor.Deploy.Ideal_pifo { capacity_pkts = 16 })
-  in
-  let p = mk_packet ~tenant:1 ~rank:0 in
-  Qvisor.Hypervisor.process hv p;
-  ignore (q.Sched.Qdisc.enqueue p);
-  Alcotest.(check int) "scheduler usable" 1 (q.Sched.Qdisc.length ())
-
-let test_hv_guard_integration () =
-  let hv =
-    Qvisor.Hypervisor.create_exn
+let test_box_guard_integration () =
+  let pre, guard =
+    assembled_box
       ~guard:{ Qvisor.Guard.default_config with window = 10 }
       ~tenants:
         [
           mk_tenant ~rank_lo:0 ~rank_hi:100 1 "honest";
           mk_tenant ~rank_lo:0 ~rank_hi:100 2 "attacker";
         ]
-      ~policy:"honest + attacker" ()
+      "honest + attacker"
   in
   (* Attacker floods best ranks for three windows. *)
   for _ = 1 to 30 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:2 ~rank:0)
+    Qvisor.Guard.process guard pre (mk_packet ~tenant:2 ~rank:0)
   done;
-  (match Qvisor.Hypervisor.verdict hv ~tenant_id:2 with
+  (match Qvisor.Guard.verdict guard ~tenant_id:2 with
   | Qvisor.Guard.Malicious _ -> ()
   | _ -> Alcotest.fail "attacker not flagged");
   (* Next attack packet is parked behind honest traffic. *)
   let attack = mk_packet ~tenant:2 ~rank:0 in
   let honest = mk_packet ~tenant:1 ~rank:99 in
-  Qvisor.Hypervisor.process hv attack;
-  Qvisor.Hypervisor.process hv honest;
+  Qvisor.Guard.process guard pre attack;
+  Qvisor.Guard.process guard pre honest;
   Alcotest.(check bool) "honest worst beats parked attacker" true
     (honest.Sched.Packet.rank <= attack.Sched.Packet.rank)
-
-let test_hv_unguarded () =
-  let hv =
-    Qvisor.Hypervisor.create_exn ~guarded:false
-      ~tenants:[ mk_tenant ~rank_lo:0 ~rank_hi:100 1 "T1" ]
-      ~policy:"T1" ()
-  in
-  for _ = 1 to 100 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:1 ~rank:0)
-  done;
-  Alcotest.(check bool) "no guard, always conforming" true
-    (Qvisor.Hypervisor.verdict hv ~tenant_id:1 = Qvisor.Guard.Conforming)
-
-let test_hv_churn () =
-  let hv = hypervisor () in
-  let t3 = mk_tenant ~rank_lo:0 ~rank_hi:50 3 "T3" in
-  (match Qvisor.Hypervisor.add_tenant hv t3 ~policy:"T1 >> T2 >> T3" () with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "add: %s" (Qvisor.Error.to_string e));
-  Alcotest.(check int) "three tenants planned" 3
-    (List.length (Qvisor.Hypervisor.plan hv).Qvisor.Synthesizer.assignments);
-  (match Qvisor.Hypervisor.remove_tenant hv ~tenant_id:3 ~policy:"T1 >> T2" () with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "remove: %s" (Qvisor.Error.to_string e));
-  Alcotest.(check bool) "bad policy on churn rejected" true
-    (Result.is_error (Qvisor.Hypervisor.add_tenant hv t3 ~policy:"T1 >>" ()))
-
-let test_hv_delay_bounds_and_pipeline () =
-  let hv = hypervisor () in
-  let bounds =
-    Qvisor.Hypervisor.delay_bounds hv
-      ~envelopes:[ (1, Qvisor.Latency.envelope ~sigma:10_000. ~rho:1e6) ]
-      ~link_rate:1e9
-  in
-  Alcotest.(check int) "bound per tenant" 2 (List.length bounds);
-  (match Qvisor.Hypervisor.compile_pipeline hv () with
-  | Ok program ->
-    Alcotest.(check int) "pipeline entries" 2
-      (List.length program.Qvisor.Pipeline.entries)
-  | Error e -> Alcotest.failf "pipeline: %s" e)
-
-let test_hv_refresh () =
-  let hv = hypervisor () in
-  for rank = 0 to 9 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:1 ~rank)
-  done;
-  Qvisor.Hypervisor.process hv (mk_packet ~tenant:2 ~rank:50);
-  (match Qvisor.Hypervisor.refresh hv with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "refresh: %s" (Qvisor.Error.to_string e));
-  let a =
-    List.find
-      (fun a -> a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.id = 1)
-      (Qvisor.Hypervisor.plan hv).Qvisor.Synthesizer.assignments
-  in
-  Alcotest.(check int) "observed range adopted" 9
-    a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.rank_hi
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)
@@ -1148,14 +1088,8 @@ let () =
         ] );
       ( "hypervisor",
         [
-          Alcotest.test_case "create+process" `Quick test_hv_create_and_process;
-          Alcotest.test_case "bad policy" `Quick test_hv_bad_policy;
-          Alcotest.test_case "analysis+scheduler" `Quick test_hv_analysis_and_scheduler;
-          Alcotest.test_case "guard integration" `Quick test_hv_guard_integration;
-          Alcotest.test_case "unguarded" `Quick test_hv_unguarded;
-          Alcotest.test_case "churn" `Quick test_hv_churn;
-          Alcotest.test_case "refresh" `Quick test_hv_refresh;
-          Alcotest.test_case "delay bounds + pipeline" `Quick test_hv_delay_bounds_and_pipeline;
+          Alcotest.test_case "create+process" `Quick test_box_create_and_process;
+          Alcotest.test_case "guard integration" `Quick test_box_guard_integration;
         ] );
       ( "runtime",
         [
@@ -1165,5 +1099,7 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_runtime_add_duplicate_rejected;
           Alcotest.test_case "refresh tightens" `Quick test_runtime_refresh_tightens;
           Alcotest.test_case "swap preserves isolation" `Quick test_runtime_swap_preserves_isolation;
+          Alcotest.test_case "failed remove keeps observation" `Quick
+            test_runtime_failed_remove_keeps_observation;
         ] );
     ]
