@@ -424,25 +424,16 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           Engine.Tsdb.observe store s ~time:!clock !(values.(i land 1023))
         done)
   in
-  (* The per-hop instruments: one P² sketch update, and one histogram
-     observation (moments plus three sketches), fed delay-like samples. *)
-  let samples () =
-    let rng = Engine.Rng.create ~seed:11 in
-    boxed (fun _ -> 1e-6 *. Engine.Rng.float rng)
-  in
-  let bench_p2 () =
-    let sketch = Engine.P2_quantile.create ~q:0.99 in
-    let xs = samples () in
-    bench "p2/add" (fun n ->
-        for i = 1 to n do
-          Engine.P2_quantile.add sketch !(xs.(i land 1023))
-        done)
-  in
+  (* The per-hop instrument: one histogram observation (moments plus one
+     bucket increment), fed delay-like samples. *)
   let bench_histogram () =
     let h =
       Engine.Telemetry.histogram (Engine.Telemetry.create ()) "bench.histogram"
     in
-    let xs = samples () in
+    let xs =
+      let rng = Engine.Rng.create ~seed:11 in
+      boxed (fun _ -> 1e-6 *. Engine.Rng.float rng)
+    in
     bench "telemetry/histogram-observe" (fun n ->
         for i = 1 to n do
           Engine.Telemetry.Histogram.observe h !(xs.(i land 1023))
@@ -586,7 +577,6 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_preprocessor ();
       bench_recorder ();
       bench_tsdb ();
-      bench_p2 ();
       bench_histogram ();
       bench_sp_pifo ();
       bench_aifo ();

@@ -466,7 +466,7 @@ let single_cmd =
         report.Experiments.Fig4.verdicts;
       Format.printf "@]@.");
     (* A compact percentile summary of the port histograms (the live
-       registry's P^2 sketches, via Telemetry.Histogram.quantile). *)
+       registry's bucket counts, via Telemetry.Histogram.quantile). *)
     (if ins.telemetry then
       let q = Engine.Telemetry.Histogram.quantile in
       let depth = Engine.Telemetry.histogram tel "net.queue_depth_pkts" in

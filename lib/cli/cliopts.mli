@@ -89,8 +89,7 @@ module Run : sig
 
   val registry : t -> Engine.Telemetry.t
   (** The root registry; {!Engine.Telemetry.disabled} when no flag asks
-      for one.  Runs with no parts report it unmerged: a merge replays
-      the P² markers and moves its quantiles. *)
+      for one.  Runs with no parts report it unmerged. *)
 
   val profiler : t -> Engine.Span.t
 

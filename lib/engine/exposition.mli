@@ -12,7 +12,7 @@
     where the [tenant] label is resolved through the optional
     [tenant_names] map.  Counters get the conventional [_total] suffix;
     histograms render as Prometheus {e summaries}: one [quantile] sample
-    per tracked sketch (0.5/0.9/0.99) plus [_sum]/[_count].
+    each for 0.5, 0.9 and 0.99, plus [_sum]/[_count].
 
     Names are sanitized, never trusted: any character outside
     [[a-zA-Z0-9_:]] becomes [_], and a leading digit is prefixed with

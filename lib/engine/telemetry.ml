@@ -20,40 +20,82 @@ module Histogram = struct
   (* Count, Welford mean, sum, min and max sit in one unboxed float array
      (a mixed record like [Stats.t] boxes every float store), so
      [observe] allocates nothing.  The updates are [Stats.add]'s and the
-     merge is [Stats.merge_into]'s, operation for operation. *)
+     merge is [Stats.merge_into]'s, operation for operation.
+
+     The distribution is a fixed log-linear bucket array, HdrHistogram
+     style: [2^sub_bits] equal sub-buckets per octave over
+     [2^lo_exp, 2^hi_exp), plus a zero bucket (x <= 0), an underflow
+     bucket (0 < x < 2^lo_exp) and an overflow bucket (x >= 2^hi_exp,
+     and nan).  An in-range value's bucket is its biased exponent and top
+     [sub_bits] mantissa bits read straight off the IEEE-754 word, so
+     there is no [log] call and buckets are exact power-of-two splits. *)
+  let sub_bits = 5
+  let lo_exp = -32
+  let hi_exp = 32
+  let zero = 0
+  let under = 1
+  let first = 2
+  let over = first + ((hi_exp - lo_exp) lsl sub_bits)
+
+  (* [bits lsr (52 - sub_bits)] of a positive float is its biased
+     exponent followed by its top [sub_bits] mantissa bits. *)
+  let base = ((1023 + lo_exp) lsl sub_bits) - first
+
+  (* The literals are 2^hi_exp and 2^lo_exp. *)
+  let[@inline] index x =
+    if x < 0x1p32 then
+      if x >= 0x1p-32 then
+        Int64.to_int
+          (Int64.shift_right_logical (Int64.bits_of_float x) (52 - sub_bits))
+        - base
+      else if x > 0. then under
+      else zero
+    else over
+
+  (* The value a bucket stands for: the midpoint of a log-linear bucket
+     (within half a sub-bucket, 1/64 relative, of anything in it); the
+     edge buckets' values are clamped to the observed range by the
+     caller. *)
+  let value i =
+    if i = zero then 0.
+    else if i = under then Float.ldexp 1. (lo_exp - 1)
+    else if i = over then infinity
+    else
+      let j = i - first in
+      let octave = lo_exp + (j lsr sub_bits)
+      and sub = j land ((1 lsl sub_bits) - 1) in
+      (* 2^octave * (1 + (sub + 1/2) / 2^sub_bits) *)
+      Float.ldexp
+        (float_of_int ((2 lsl sub_bits) + (2 * sub) + 1))
+        (octave - sub_bits - 1)
+
   type t = {
     m : float array; (* count, mean, sum, min, max *)
-    p50 : P2_quantile.t;
-    p90 : P2_quantile.t;
-    p99 : P2_quantile.t;
+    buckets : int array;
   }
 
-  let make () =
-    {
-      m = [| 0.; 0.; 0.; nan; nan |];
-      p50 = P2_quantile.create ~q:0.5;
-      p90 = P2_quantile.create ~q:0.9;
-      p99 = P2_quantile.create ~q:0.99;
-    }
+  let create () =
+    { m = [| 0.; 0.; 0.; nan; nan |]; buckets = Array.make (over + 1) 0 }
 
+  (* [m] has five slots and [index] stays within [0, over], so the
+     per-hop path skips the bounds checks. *)
   let observe t x =
     let m = t.m in
-    let n = m.(0) +. 1. in
-    m.(0) <- n;
-    let mean = m.(1) in
-    m.(1) <- mean +. ((x -. mean) /. n);
-    m.(2) <- m.(2) +. x;
+    let n = Array.unsafe_get m 0 +. 1. in
+    Array.unsafe_set m 0 n;
+    let mean = Array.unsafe_get m 1 in
+    Array.unsafe_set m 1 (mean +. ((x -. mean) /. n));
+    Array.unsafe_set m 2 (Array.unsafe_get m 2 +. x);
     if n = 1. then begin
-      m.(3) <- x;
-      m.(4) <- x
+      Array.unsafe_set m 3 x;
+      Array.unsafe_set m 4 x
     end
     else begin
-      if x < m.(3) then m.(3) <- x;
-      if x > m.(4) then m.(4) <- x
+      if x < Array.unsafe_get m 3 then Array.unsafe_set m 3 x;
+      if x > Array.unsafe_get m 4 then Array.unsafe_set m 4 x
     end;
-    P2_quantile.add t.p50 x;
-    P2_quantile.add t.p90 x;
-    P2_quantile.add t.p99 x
+    let b = t.buckets and i = index x in
+    Array.unsafe_set b i (Array.unsafe_get b i + 1)
 
   let count t = int_of_float t.m.(0)
 
@@ -66,18 +108,28 @@ module Histogram = struct
   let max t = t.m.(4)
 
   let quantile t q =
-    let sketch =
-      if q = 0.5 then t.p50
-      else if q = 0.9 then t.p90
-      else if q = 0.99 then t.p99
-      else
-        invalid_arg
-          (Printf.sprintf
-             "Telemetry.Histogram.quantile: only 0.5/0.9/0.99 are tracked \
-              (got %g)"
-             q)
-    in
-    P2_quantile.estimate sketch
+    if not (q >= 0. && q <= 1.) then
+      invalid_arg
+        (Printf.sprintf "Telemetry.Histogram.quantile: q = %g outside [0, 1]" q);
+    let n = t.m.(0) and mn = min t and mx = max t in
+    if n = 0. then nan
+    else if q = 0. then mn
+    else if q = 1. then mx
+    else begin
+      (* Walk up from the minimum's bucket to the one holding the
+         [ceil (q n)]-th smallest observation.  A nan first sample leaves
+         [min] nan; the walk then starts at the bottom. *)
+      let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. n))) in
+      let b = t.buckets in
+      let i = ref (if Float.is_nan mn then zero else index mn) in
+      let seen = ref b.(!i) in
+      while !seen < rank && !i < over do
+        incr i;
+        seen := !seen + b.(!i)
+      done;
+      let v = value !i in
+      if v < mn then mn else if v > mx then mx else v
+    end
 
   let merge_into ~into src =
     let d = into.m and s = src.m in
@@ -88,11 +140,12 @@ module Histogram = struct
       d.(0) <- n;
       d.(2) <- d.(2) +. s.(2);
       d.(3) <- (if Float.is_nan d.(3) then s.(3) else Float.min d.(3) s.(3));
-      d.(4) <- (if Float.is_nan d.(4) then s.(4) else Float.max d.(4) s.(4))
-    end;
-    P2_quantile.merge_into ~into:into.p50 src.p50;
-    P2_quantile.merge_into ~into:into.p90 src.p90;
-    P2_quantile.merge_into ~into:into.p99 src.p99
+      d.(4) <- (if Float.is_nan d.(4) then s.(4) else Float.max d.(4) s.(4));
+      let db = into.buckets and sb = src.buckets in
+      for i = 0 to over do
+        db.(i) <- db.(i) + sb.(i)
+      done
+    end
 end
 
 type sink = {
@@ -150,8 +203,8 @@ let gauge t name =
   else intern t.gauges name (fun () -> { Gauge.v = 0. })
 
 let histogram t name =
-  if not t.enabled then Histogram.make ()
-  else intern t.histograms name Histogram.make
+  if not t.enabled then Histogram.create ()
+  else intern t.histograms name Histogram.create
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink                                                         *)
@@ -262,9 +315,9 @@ let snapshot t =
             ("min", num_or_null (Histogram.min h));
             ("max", num_or_null (Histogram.max h));
             ("sum", num_or_null (Histogram.sum h));
-            ("p50", num_or_null (P2_quantile.estimate h.p50));
-            ("p90", num_or_null (P2_quantile.estimate h.p90));
-            ("p99", num_or_null (P2_quantile.estimate h.p99));
+            ("p50", num_or_null (Histogram.quantile h 0.5));
+            ("p90", num_or_null (Histogram.quantile h 0.9));
+            ("p99", num_or_null (Histogram.quantile h 0.99));
           ])
   in
   let trace =

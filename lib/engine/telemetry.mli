@@ -12,8 +12,8 @@
     - {b counters} — monotone event counts (enqueues, drops, table hits);
     - {b gauges} — last-written values (events fired, wall-clock seconds);
     - {b histograms} — constant-memory distributions: Welford moments
-      (as {!Stats} computes them) plus P² sketches ({!P2_quantile}) for
-      p50/p90/p99.
+      (as {!Stats} computes them) plus a fixed log-linear bucket array
+      that answers any quantile and merges exactly.
 
     Orthogonally, a registry may carry one {e trace sink}: an NDJSON
     [out_channel] receiving one {!Recorder.event} row per sampled
@@ -42,23 +42,42 @@ end
 
 module Histogram : sig
   type t
+  (** Moments plus 2,051 bucket counts (~2,050 words): 32 equal
+      sub-buckets per octave over [\[2^-32, 2^32)], and three edge
+      buckets.  Where an observation [x] lands:
+      - [x <= 0.] (negative values, [-0.] and [neg_infinity] included):
+        the zero bucket, which reads as [0.];
+      - [0. < x < 2^-32] (subnormals included): the underflow bucket,
+        which reads as [2^-33];
+      - [2^-32 <= x < 2^32]: the sub-bucket of [x]'s octave its top five
+        mantissa bits select, which reads as its midpoint;
+      - [x >= 2^32], [infinity] and [nan]: the overflow bucket, which
+        reads as [infinity].
+      Every observation also enters the moments, so a [nan] makes the
+      mean and sum [nan] as it does in {!Stats}. *)
+
+  val create : unit -> t
+  (** A fresh histogram outside any registry. *)
 
   val observe : t -> float -> unit
-  (** Fold one observation into the moments and the three sketches.
-      Allocates nothing (the moments live in an unboxed float array, and
-      {!P2_quantile.add} is allocation-free); a caller that computes the
-      float just for the call still boxes it, unless the call is inlined. *)
+  (** Fold one observation into the moments and its bucket.  Allocates
+      nothing (the moments live in an unboxed float array and the bucket
+      index is read off the float's bits); a caller that computes the
+      float just for the call still boxes it, unless the call is
+      inlined. *)
 
   val count : t -> int
   val mean : t -> float
   (** [nan] when empty, like {!Stats.mean}. *)
 
   val quantile : t -> float -> float
-  (** [quantile t q] is the live P² estimate of the [q]-quantile for the
-      three sketches a histogram maintains: [q] must be [0.5], [0.9] or
-      [0.99].  [nan] when empty, exact below five observations
-      ({!P2_quantile.estimate}).
-      @raise Invalid_argument for any other [q]. *)
+  (** [quantile t q] estimates the [ceil (q n)]-th smallest of the [n]
+      observations: the value of the bucket holding it, clamped to the
+      observed [\[min, max\]].  For an order statistic in
+      [\[2^-32, 2^32)] the estimate is within 1/64 of it (relative);
+      [q = 0.] gives the minimum and [q = 1.] the maximum exactly.
+      [nan] when empty.
+      @raise Invalid_argument unless [0. <= q <= 1.] ([nan] included). *)
 
   val sum : t -> float
   (** Sum of the observations ([0.] when empty) — with {!count} this is
@@ -133,12 +152,14 @@ val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds every metric of [src] into [into]:
     counters add, gauges take [src]'s value (last-write-wins, matching a
     serial run where [src]'s work executed later), histograms combine
-    moments pairwise as {!Stats.merge_into} does and quantile sketches via
-    {!P2_quantile.merge_into}, and trace seen/written counts add when
-    both registries carry a sink.  The merge is deterministic: merging
-    the same registries in the same order always produces the same
-    snapshot, which is how parallel experiment runs keep [--telemetry]
-    output independent of the worker count.  No-op when
+    moments pairwise as {!Stats.merge_into} does and add bucket counts
+    element-wise, and trace seen/written counts add when both registries
+    carry a sink.  Bucket counts, and so counts, minima, maxima and
+    quantiles, come out exactly as if one registry had observed
+    everything, in any merge order; means and sums agree up to float
+    rounding, and merging the same registries in the same order always
+    produces the same snapshot, which is how parallel experiment runs
+    keep [--telemetry] output independent of the worker count.  No-op when
     either registry is disabled.  [src] is left untouched. *)
 
 (** {1 Export} *)

@@ -37,6 +37,7 @@ type wflow = {
      write barrier ([sent_at] is an unboxed float array; nan = not
      outstanding). *)
   acked : Bytes.t;
+  mutable ack_lo : int; (* lowest unacknowledged segment *)
   received : Bytes.t;
   sent_at : float array;
   mutable outstanding : int; (* segments with a non-nan [sent_at] *)
@@ -152,7 +153,11 @@ let rec arm_rto t f =
 and on_rto t f =
   f.rto_handle <- None;
   let now = Engine.Sim.now t.sim in
-  for seg = 0 to Array.length f.sent_at - 1 do
+  (* Only segments from the lowest unacknowledged one to the last one
+     sent can be outstanding: below, every segment is acknowledged; above,
+     none was sent. *)
+  let sent_segs = (f.next_offset + f.mtu - 1) / f.mtu in
+  for seg = f.ack_lo to sent_segs - 1 do
     let sent = f.sent_at.(seg) in
     if (not (Float.is_nan sent)) && now -. sent >= f.rto -. 1e-12 then begin
       f.sent_at.(seg) <- Float.nan;
@@ -207,6 +212,7 @@ let start_flow t ~tenant ~ranker ~src ~dst ~size ?(window = 12) ?(rto = 1e-3)
       on_complete;
       next_offset = 0;
       acked = Bytes.make nseg '\000';
+      ack_lo = 0;
       acked_bytes = 0;
       received = Bytes.make nseg '\000';
       sent_at = Array.make nseg Float.nan;
@@ -272,7 +278,11 @@ let receive_ack t f (p : Sched.Packet.t) =
   end;
   if Bytes.unsafe_get f.acked seg = '\000' then begin
     Bytes.unsafe_set f.acked seg '\001';
-    f.acked_bytes <- f.acked_bytes + payload_at f seq
+    f.acked_bytes <- f.acked_bytes + payload_at f seq;
+    let n = Bytes.length f.acked in
+    while f.ack_lo < n && Bytes.unsafe_get f.acked f.ack_lo = '\001' do
+      f.ack_lo <- f.ack_lo + 1
+    done
   end;
   if f.acked_bytes >= f.size then begin
     (* Everything delivered and acknowledged: quiesce the sender and

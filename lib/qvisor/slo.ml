@@ -85,8 +85,7 @@ let default_audit_config = { window = 256; ewma_alpha = 0.2; fast_breach = 4.0 }
 
 type tenant_audit = {
   objective : objective;
-  sketch : Engine.P2_quantile.t;
-  mutable delay_samples : int;
+  delay : Engine.Telemetry.Histogram.t;
   mutable attempts : int;
   mutable drops : int;
   mutable win_attempts : int;
@@ -116,8 +115,7 @@ let create ?(config = default_audit_config) ~objectives () =
   let audit o =
     {
       objective = o;
-      sketch = Engine.P2_quantile.create ~q:o.delay_quantile;
-      delay_samples = 0;
+      delay = Engine.Telemetry.Histogram.create ();
       attempts = 0;
       drops = 0;
       win_attempts = 0;
@@ -181,9 +179,7 @@ let on_drop t p =
 let on_delay t ~tenant_id d =
   match audit t tenant_id with
   | None -> ()
-  | Some s ->
-    Engine.P2_quantile.add s.sketch d;
-    s.delay_samples <- s.delay_samples + 1
+  | Some s -> Engine.Telemetry.Histogram.observe s.delay d
 
 let on_rank_error t ~tenant_id e =
   match audit t tenant_id with
@@ -227,8 +223,9 @@ let status_of (s : tenant_audit) =
     budget_remaining =
       (if s.attempts = 0 then 1.
        else Float.max 0. (1. -. (drop_rate /. s.objective.drop_budget)));
-    observed_delay = Engine.P2_quantile.estimate s.sketch;
-    delay_samples = s.delay_samples;
+    observed_delay =
+      Engine.Telemetry.Histogram.quantile s.delay s.objective.delay_quantile;
+    delay_samples = Engine.Telemetry.Histogram.count s.delay;
     max_rank_error = s.max_rank_error;
     rank_samples = s.rank_samples;
     tie_inversions = s.tie_inversions;

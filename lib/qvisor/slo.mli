@@ -17,7 +17,8 @@
     An {!t} (auditor) then checks the objectives online against samples
     streamed from the data plane — enqueue attempts, drops, per-hop
     sojourn delays, pre-processor rank errors — in constant memory per
-    tenant: one {!P2_quantile} sketch for the delay quantile plus
+    tenant: one run-cumulative {!Engine.Telemetry.Histogram} of delays
+    (~2,050 words; any quantile, within 1/64 of the exact one) plus
     window/EWMA drop accounting in the style of SRE burn-rate alerting:
 
     - {e fast burn} — last closed window's drop rate over the budget

@@ -4,14 +4,18 @@
    eviction are all O(1) modulo a constant number of 32-bit word scans.
 
    Layout:
-   - [anchors]: per-rank doubly-linked FIFO anchors into a slot pool
+   - [pages]: per-rank doubly-linked FIFO anchors into a slot pool
      sized [capacity_pkts], bit-packed as [(tail+1) lsl 21 lor (head+1)]
      ([0] = empty bucket) so an enqueue or dequeue touches a single
-     cache line of anchor state — with a 16-bit rank space the anchor
-     array is 512 KB and a random rank is a guaranteed cache miss, so
-     one line instead of two is the difference between one stall and
-     two.  Links live in flat int arrays ([nxt]/[prv]); [nxt] doubles
-     as the free-list chain.
+     cache line of anchor state — a random rank in a 16-bit space is a
+     guaranteed cache miss, so one line instead of two is the
+     difference between one stall and two.  The anchors sit in pages of
+     [page_size] ranks, each allocated at the first insert into it: a
+     port only ever sees a few rank ranges, and the full 16-bit space
+     would cost 512 KB per port (a fabric's worth of it dominates a
+     run's live heap).  An occupied bucket's page exists, so only
+     [insert] checks.  Links live in flat int arrays ([nxt]/[prv]);
+     [nxt] doubles as the free-list chain.
    - [levels]: occupancy bitmaps.  Level 0 has one bit per rank; each
      higher level has one bit per 32-bit word of the level below, up to
      a single root word.  Find-first/find-last descend from the root
@@ -57,13 +61,20 @@ let fls32 x =
 let anchor_bits = 21
 let anchor_mask = (1 lsl anchor_bits) - 1
 
+(* Anchor pages: [page_size] ranks each; [[||]] is a page not yet
+   allocated. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
 let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
   if capacity_pkts <= 0 then invalid_arg "Bucket_queue.create: capacity <= 0";
   if capacity_pkts > anchor_mask - 1 then
     invalid_arg "Bucket_queue.create: capacity > 2^21 - 2 packets";
   if rank_max < 0 then invalid_arg "Bucket_queue.create: rank_max < 0";
   let nb = rank_max + 1 in
-  let anchors = Array.make nb 0 in
+  let pages = Array.make ((nb + page_mask) lsr page_bits) [||] in
+  let page b = Array.unsafe_get pages (b lsr page_bits) in
   (* Occupancy bitmaps, level 0 widest, root narrowest (single word). *)
   let levels =
     let rec build acc size =
@@ -127,17 +138,28 @@ let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
     !pool.(slot) <- p;
     Array.unsafe_set nxt slot (-1);
     let b = clamp p.Packet.rank in
-    let a = Array.unsafe_get anchors b in
+    let anchors =
+      let pg = page b in
+      if Array.length pg > 0 then pg
+      else begin
+        let first = b land lnot page_mask in
+        let pg = Array.make (min page_size (nb - first)) 0 in
+        Array.unsafe_set pages (b lsr page_bits) pg;
+        pg
+      end
+    in
+    let i = b land page_mask in
+    let a = Array.unsafe_get anchors i in
     if a = 0 then begin
       Array.unsafe_set prv slot (-1);
-      Array.unsafe_set anchors b (((slot + 1) lsl anchor_bits) lor (slot + 1));
+      Array.unsafe_set anchors i (((slot + 1) lsl anchor_bits) lor (slot + 1));
       set_bit 0 b
     end
     else begin
       let t = (a lsr anchor_bits) - 1 in
       Array.unsafe_set nxt t slot;
       Array.unsafe_set prv slot t;
-      Array.unsafe_set anchors b (((slot + 1) lsl anchor_bits) lor (a land anchor_mask))
+      Array.unsafe_set anchors i (((slot + 1) lsl anchor_bits) lor (a land anchor_mask))
     end;
     incr count;
     bytes := !bytes + p.Packet.size
@@ -149,33 +171,35 @@ let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
     bytes := !bytes - p.Packet.size
   in
   let pop_head b =
-    let a = Array.unsafe_get anchors b in
+    let anchors = page b and i = b land page_mask in
+    let a = Array.unsafe_get anchors i in
     let slot = (a land anchor_mask) - 1 in
     let p = !pool.(slot) in
     let h' = Array.unsafe_get nxt slot in
     if h' = -1 then begin
-      Array.unsafe_set anchors b 0;
+      Array.unsafe_set anchors i 0;
       clear_bit 0 b
     end
     else begin
       Array.unsafe_set prv h' (-1);
-      Array.unsafe_set anchors b ((a land lnot anchor_mask) lor (h' + 1))
+      Array.unsafe_set anchors i ((a land lnot anchor_mask) lor (h' + 1))
     end;
     release slot p;
     p
   in
   let pop_tail b =
-    let a = Array.unsafe_get anchors b in
+    let anchors = page b and i = b land page_mask in
+    let a = Array.unsafe_get anchors i in
     let slot = (a lsr anchor_bits) - 1 in
     let p = !pool.(slot) in
     let t' = Array.unsafe_get prv slot in
     if t' = -1 then begin
-      Array.unsafe_set anchors b 0;
+      Array.unsafe_set anchors i 0;
       clear_bit 0 b
     end
     else begin
       Array.unsafe_set nxt t' (-1);
-      Array.unsafe_set anchors b (((t' + 1) lsl anchor_bits) lor (a land anchor_mask))
+      Array.unsafe_set anchors i (((t' + 1) lsl anchor_bits) lor (a land anchor_mask))
     end;
     release slot p;
     p
@@ -199,7 +223,9 @@ let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
   let dequeue () = if !count = 0 then None else Some (pop_head (find_first ())) in
   let peek () =
     if !count = 0 then None
-    else Some !pool.((anchors.(find_first ()) land anchor_mask) - 1)
+    else
+      let b = find_first () in
+      Some !pool.((Array.unsafe_get (page b) (b land page_mask) land anchor_mask) - 1)
   in
   Qdisc.make ~name ~enqueue_drop ~dequeue ~peek
     ~length:(fun () -> !count)

@@ -20,7 +20,9 @@
 val create :
   ?name:string -> ?rank_max:int -> capacity_pkts:int -> unit -> Qdisc.t
 (** [rank_max] defaults to 65535, the synthesizer's quantization ceiling
-    ({!Qvisor.Synthesizer.default_config}).  Memory is O(rank_max +
-    capacity_pkts): ~1 MB per queue at the default rank space.
+    ({!Qvisor.Synthesizer.default_config}).  Memory is O(rank_max / 32 +
+    capacity_pkts) up front (~20 KB at the default rank space, mostly
+    the occupancy bitmap), plus 8 KB for each 1,024-rank range the
+    first time a packet lands in it.
 
     @raise Invalid_argument if [capacity_pkts <= 0] or [rank_max < 0]. *)

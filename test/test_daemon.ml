@@ -856,7 +856,7 @@ let test_query_dashboard_integration () =
       | _ -> Alcotest.failf "golden /query is not a JSON object: %s" body)
   in
   Alcotest.(check string) "golden /query digest"
-    "c4b664226c4c267497c4e8a3c146a153"
+    "3023e62a08c0eb5960d05b670d4094b6"
     (Digest.to_hex (Digest.string pinned))
 
 let () =

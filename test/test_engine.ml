@@ -1,5 +1,5 @@
-(* Tests for the discrete-event engine: Rng, Vec, Event_queue, Sim, Stats,
-   P2_quantile. *)
+(* Tests for the discrete-event engine: Rng, Vec, Event_queue, Sim,
+   Stats, and the streaming quantiles of Telemetry.Histogram. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -615,103 +615,115 @@ let prop_stats_minmax =
         xs)
 
 (* ------------------------------------------------------------------ *)
-(* P2_quantile                                                        *)
+(* Streaming quantiles (the "p2_quantile" group)                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The checks the P² estimator carried, kept under their names and run
+   against the bucket histogram that replaced it (test_telemetry.ml has
+   its accuracy, exact-merge and edge-value tests).  A quantile is now
+   answered for any q in [0, 1], so "invalid q" rejects only q outside
+   it, and merges are exact at any size. *)
+
+module Hist = Engine.Telemetry.Histogram
+
+let hist_of xs =
+  let h = Hist.create () in
+  List.iter (Hist.observe h) xs;
+  h
+
+(* A registry holding one histogram "h" fed [xs]: merges go through
+   [Telemetry.merge_into]. *)
+let registry_of xs =
+  let tel = Engine.Telemetry.create () in
+  List.iter (Hist.observe (Engine.Telemetry.histogram tel "h")) xs;
+  tel
+
 let test_p2_median_uniform () =
-  let p2 = Engine.P2_quantile.create ~q:0.5 in
+  let h = Hist.create () in
   let r = Engine.Rng.create ~seed:53 in
   for _ = 1 to 50_000 do
-    Engine.P2_quantile.add p2 (Engine.Rng.float r)
+    Hist.observe h (Engine.Rng.float r)
   done;
-  check_close "median ~ 0.5" ~tolerance:0.02 0.5 (Engine.P2_quantile.estimate p2)
+  check_close "median ~ 0.5" ~tolerance:0.02 0.5 (Hist.quantile h 0.5)
 
 let test_p2_p99_uniform () =
-  let p2 = Engine.P2_quantile.create ~q:0.99 in
+  let h = Hist.create () in
   let r = Engine.Rng.create ~seed:59 in
   for _ = 1 to 50_000 do
-    Engine.P2_quantile.add p2 (Engine.Rng.float r)
+    Hist.observe h (Engine.Rng.float r)
   done;
-  check_close "p99 ~ 0.99" ~tolerance:0.02 0.99 (Engine.P2_quantile.estimate p2)
-
-let test_p2_small_stream_exact () =
-  let p2 = Engine.P2_quantile.create ~q:0.5 in
-  List.iter (Engine.P2_quantile.add p2) [ 3.0; 1.0; 2.0 ];
-  check_float "exact small-sample median" 2.0 (Engine.P2_quantile.estimate p2)
+  check_close "p99 ~ 0.99" ~tolerance:0.02 0.99 (Hist.quantile h 0.99)
 
 let test_p2_empty () =
-  let p2 = Engine.P2_quantile.create ~q:0.5 in
   Alcotest.(check bool) "empty is nan" true
-    (Float.is_nan (Engine.P2_quantile.estimate p2))
+    (Float.is_nan (Hist.quantile (Hist.create ()) 0.5))
 
 let test_p2_invalid_q () =
-  let raises f = try f (); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "q = 0 rejected" true
-    (raises (fun () -> ignore (Engine.P2_quantile.create ~q:0.)));
-  Alcotest.(check bool) "q = 1 rejected" true
-    (raises (fun () -> ignore (Engine.P2_quantile.create ~q:1.)))
+  let h = hist_of [ 3.; 1.; 2. ] in
+  let raises q = try ignore (Hist.quantile h q); false with Invalid_argument _ -> true in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) (Printf.sprintf "q = %g rejected" q) true (raises q))
+    [ -0.1; 1.1; neg_infinity; infinity; nan ];
+  check_float "q = 0 is the min" 1. (Hist.quantile h 0.);
+  check_float "q = 1 is the max" 3. (Hist.quantile h 1.)
 
 let prop_p2_within_range =
   QCheck.Test.make ~name:"p2 estimate stays within sample range" ~count:100
     QCheck.(list_of_size (Gen.int_range 6 500) (float_bound_inclusive 1e3))
     (fun xs ->
-      let p2 = Engine.P2_quantile.create ~q:0.9 in
-      List.iter (Engine.P2_quantile.add p2) xs;
+      let h = hist_of xs in
       let lo = List.fold_left Float.min infinity xs in
       let hi = List.fold_left Float.max neg_infinity xs in
-      let e = Engine.P2_quantile.estimate p2 in
-      lo <= e && e <= hi)
-
-(* ------------------------------------------------------------------ *)
-(* Merge machinery (P²)                                               *)
-(* ------------------------------------------------------------------ *)
+      List.for_all
+        (fun q ->
+          let e = Hist.quantile h q in
+          lo <= e && e <= hi)
+        [ 0.; 0.5; 0.9; 0.99; 1. ])
 
 let test_p2_merge_small_exact () =
-  (* Sketches with <= 5 observations replay raw values: merging two small
-     sketches equals one sketch fed everything. *)
-  let a = Engine.P2_quantile.create ~q:0.5 in
-  let b = Engine.P2_quantile.create ~q:0.5 in
-  List.iter (Engine.P2_quantile.add a) [ 1.; 9. ];
-  List.iter (Engine.P2_quantile.add b) [ 5.; 3. ];
-  Engine.P2_quantile.merge_into ~into:a b;
-  let direct = Engine.P2_quantile.create ~q:0.5 in
-  List.iter (Engine.P2_quantile.add direct) [ 1.; 9.; 5.; 3. ];
-  Alcotest.(check int) "counts add" 4 (Engine.P2_quantile.count a);
-  check_float "small merge exact" (Engine.P2_quantile.estimate direct)
-    (Engine.P2_quantile.estimate a)
+  let a = registry_of [ 1.; 9. ] in
+  Engine.Telemetry.merge_into ~into:a (registry_of [ 5.; 3. ]);
+  let merged = Engine.Telemetry.histogram a "h" in
+  let direct = hist_of [ 1.; 9.; 5.; 3. ] in
+  Alcotest.(check int) "counts add" 4 (Hist.count merged);
+  List.iter
+    (fun q ->
+      check_float
+        (Printf.sprintf "small merge exact at q = %g" q)
+        (Hist.quantile direct q) (Hist.quantile merged q))
+    [ 0.; 0.25; 0.5; 0.75; 1. ]
 
 let test_p2_merge_deterministic () =
   let build () =
-    let sketches =
-      List.init 3 (fun k ->
-          let s = Engine.P2_quantile.create ~q:0.9 in
-          for i = 0 to 99 do
-            Engine.P2_quantile.add s (float_of_int (i + (100 * k)))
-          done;
-          s)
-    in
-    let into = Engine.P2_quantile.create ~q:0.9 in
-    List.iter (fun s -> Engine.P2_quantile.merge_into ~into s) sketches;
-    Engine.P2_quantile.estimate into
+    let into = Engine.Telemetry.create () in
+    for k = 0 to 2 do
+      Engine.Telemetry.merge_into ~into
+        (registry_of (List.init 100 (fun i -> float_of_int (i + (100 * k)))))
+    done;
+    Hist.quantile (Engine.Telemetry.histogram into "h") 0.9
   in
   check_float "same merge order, same estimate" (build ()) (build ());
-  (* The approximate merge must still land inside the observed range and
-     near the true p90 of 0..299. *)
+  (* The merge must land inside the observed range and near the true p90
+     of 0..299. *)
   let e = build () in
   Alcotest.(check bool) "estimate plausible" true (e > 200. && e < 300.)
 
 let test_p2_merge_empty_and_mismatch () =
-  let a = Engine.P2_quantile.create ~q:0.5 in
-  Engine.P2_quantile.add a 4.;
-  let empty = Engine.P2_quantile.create ~q:0.5 in
-  Engine.P2_quantile.merge_into ~into:a empty;
-  Alcotest.(check int) "empty src is a no-op" 1 (Engine.P2_quantile.count a);
-  let other = Engine.P2_quantile.create ~q:0.99 in
-  Alcotest.(check bool) "quantile mismatch rejected" true
-    (try
-       Engine.P2_quantile.merge_into ~into:a other;
-       false
-     with Invalid_argument _ -> true)
+  let a = registry_of [ 4. ] in
+  Engine.Telemetry.merge_into ~into:a (registry_of []);
+  Engine.Telemetry.merge_into ~into:a (Engine.Telemetry.create ());
+  let h = Engine.Telemetry.histogram a "h" in
+  Alcotest.(check int) "empty src is a no-op" 1 (Hist.count h);
+  check_float "estimate unchanged" 4. (Hist.quantile h 0.5);
+  (* Every histogram has the same buckets, so sources that saw disjoint
+     ranges merge without a parameter to match. *)
+  let far = registry_of [ 1e-6; 2e-6 ] and near = registry_of [ 1e6 ] in
+  Engine.Telemetry.merge_into ~into:far near;
+  let h = Engine.Telemetry.histogram far "h" in
+  Alcotest.(check int) "disjoint ranges merge" 3 (Hist.count h);
+  check_float "min from one source" 1e-6 (Hist.quantile h 0.);
+  check_float "max from the other" 1e6 (Hist.quantile h 1.)
 
 (* ------------------------------------------------------------------ *)
 (* Rng.derive                                                          *)
@@ -987,7 +999,6 @@ let () =
         [
           Alcotest.test_case "median uniform" `Quick test_p2_median_uniform;
           Alcotest.test_case "p99 uniform" `Quick test_p2_p99_uniform;
-          Alcotest.test_case "small stream exact" `Quick test_p2_small_stream_exact;
           Alcotest.test_case "empty" `Quick test_p2_empty;
           Alcotest.test_case "invalid q" `Quick test_p2_invalid_q;
           Alcotest.test_case "merge small exact" `Quick test_p2_merge_small_exact;

@@ -232,24 +232,50 @@ let test_bucket_accounting () =
   ignore (q.Sched.Qdisc.dequeue ());
   Alcotest.(check int) "bytes after dequeue" 200 (q.Sched.Qdisc.bytes ())
 
-(* One (op list) ~ one scenario: enqueue a rank, or dequeue. *)
+let test_bucket_fresh_footprint () =
+  (* Anchor pages are allocated on first use: a fresh queue over the
+     default 16-bit rank space holds its occupancy bitmaps and slot
+     links, not 64K anchors. *)
+  let q = Sched.Bucket_queue.create ~capacity_pkts:100 () in
+  let words = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reachable words < 8192" words)
+    true (words < 8192)
+
+(* One (rank_max, capacity, op list) ~ one scenario: enqueue a rank, or
+   dequeue.  Ranks are mostly dense (ties and evictions) with some at
+   anchor-page boundaries, at the top of the rank space, negative, and
+   above [rank_max]. *)
 let bucket_ops_gen =
-  QCheck.(
-    pair (int_range 1 12)
-      (list_of_size (Gen.int_range 0 120)
-         (option (int_bound 64))))
+  let open QCheck.Gen in
+  let rank =
+    frequency
+      [
+        (4, int_bound 64);
+        ( 1,
+          oneofl
+            [
+              1023; 1024; 1025; 2047; 2048; 65534; 65535; 65536; 100_000; -1;
+              -1024;
+            ] );
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(triple int int (list (option int)))
+    (triple (oneofl [ 65535; 1024; 2000 ]) (int_range 1 12)
+       (list_size (int_range 0 120) (option rank)))
 
 let prop_bucket_matches_pifo_map =
   (* Heap-vs-bucket differential: on any interleaving of enqueues (dense
      ranks, forcing ties and evictions at small capacity) and dequeues,
      Bucket_queue emits byte-identical uid sequences — served and
-     dropped — to the Map-based Pifo_queue. *)
+     dropped — to the Map-based Pifo_queue fed the clamped ranks. *)
   QCheck.Test.make ~name:"bucket queue matches map-based pifo" ~count:300
     bucket_ops_gen
-    (fun (cap, ops) ->
-      let bucket = Sched.Bucket_queue.create ~capacity_pkts:cap () in
+    (fun (rank_max, cap, ops) ->
+      let bucket = Sched.Bucket_queue.create ~rank_max ~capacity_pkts:cap () in
       let map = Sched.Pifo_queue.create ~capacity_pkts:cap () in
-      let run (q : Sched.Qdisc.t) =
+      let run ~clamp (q : Sched.Qdisc.t) =
         (* Replay under a reset uid counter so both backends see packets
            with identical uids. *)
         Sched.Packet.reset_uid_counter 0;
@@ -258,6 +284,7 @@ let prop_bucket_matches_pifo_map =
           (fun op ->
             match op with
             | Some rank ->
+              let rank = if clamp then max 0 (min rank_max rank) else rank in
               q.Sched.Qdisc.enqueue_drop (mk ~rank ()) (fun d ->
                   trace := `Drop d.Sched.Packet.uid :: !trace)
             | None -> (
@@ -271,7 +298,7 @@ let prop_bucket_matches_pifo_map =
           (Sched.Qdisc.drain q);
         List.rev !trace
       in
-      run bucket = run map)
+      run ~clamp:false bucket = run ~clamp:true map)
 
 (* ------------------------------------------------------------------ *)
 (* SP bank                                                            *)
@@ -835,6 +862,8 @@ let () =
             test_bucket_equal_rank_full_drops_arrival;
           Alcotest.test_case "rank clamping" `Quick test_bucket_rank_clamping;
           Alcotest.test_case "accounting" `Quick test_bucket_accounting;
+          Alcotest.test_case "fresh footprint" `Quick
+            test_bucket_fresh_footprint;
           qc prop_bucket_matches_pifo_map;
         ] );
       ( "sp_bank",

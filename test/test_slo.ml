@@ -268,7 +268,7 @@ let test_roundtrip_single_run () =
      the simulated part of the exposition, and the health alert stream of
      the same run under an injected LIFO-ties fault. *)
   Alcotest.(check string) "golden exposition digest"
-    "489cee5dd30da1f81142fa3ac04a3e0d"
+    "522152d836d10a9fbe2d9d8482c565ce"
     (digest (simulated_exposition text));
   let alerts_file = Filename.temp_file "qvisor-golden" ".ndjson" in
   let oc = open_out alerts_file in

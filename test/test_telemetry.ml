@@ -3,8 +3,8 @@
    the sampled NDJSON trace sink (determinism under a fixed seed, line
    round-trips), an end-to-end check that an instrumented network +
    pre-processor populate the metric names the docs promise, and the
-   allocation-free P² sketch and histogram checked bit for bit against
-   the reference implementation. *)
+   allocation-free bucket histogram: moments bit for bit against Stats,
+   quantiles against exact order statistics, exact merges, edge values. *)
 
 module Tel = Engine.Telemetry
 
@@ -392,20 +392,31 @@ let test_merge_disabled_noop () =
     (Tel.Counter.value (Tel.counter Tel.disabled "c"))
 
 (* ------------------------------------------------------------------ *)
-(* Flat instruments vs the reference implementation                   *)
+(* Histogram vs Stats and exact order statistics                      *)
 (* ------------------------------------------------------------------ *)
-
-(* [P2_oracle] is the original boxed-float P² sketch, kept verbatim as
-   the reference: the flat, allocation-free rewrite and the histogram
-   built on it must agree with it, and with [Stats], to the last bit. *)
 
 let same a b =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
   || (Float.is_nan a && Float.is_nan b)
 
-(* Streams of 0-3000 values assembled from runs that stress the marker
-   logic: independent draws, duplicates from a three-value pool, constant
-   runs, and ascending and descending runs, at magnitudes 1e-9 to 1e3. *)
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a
+
+(* The exact [ceil (q n)]-th smallest of the sorted [a], the order
+   statistic [Histogram.quantile] estimates. *)
+let order_stat a q =
+  let n = Array.length a in
+  a.(max 1 (int_of_float (Float.ceil (q *. float_of_int n))) - 1)
+
+(* Half a 1/32-octave sub-bucket: the error bound the bucket width gives
+   an order statistic in [2^-32, 2^32) (exact for zero). *)
+let within_bucket ~exact est = Float.abs (est -. exact) <= Float.abs exact /. 64.
+
+(* Streams of 0-3000 values assembled from runs: independent draws,
+   duplicates from a three-value pool, constant runs, and ascending and
+   descending runs, at magnitudes 1e-9 to 1e3. *)
 let gen_stream =
   let open QCheck.Gen in
   let value =
@@ -439,68 +450,25 @@ let gen_stream =
 
 let arb_streams =
   QCheck.make
-    ~print:(fun (q, xs, ys) ->
-      Printf.sprintf "q=%g xs=[%s] ys=[%s]" q
+    ~print:(fun (xs, ys) ->
+      Printf.sprintf "xs=[%s] ys=[%s]"
         (String.concat "; " (List.map (Printf.sprintf "%h") xs))
         (String.concat "; " (List.map (Printf.sprintf "%h") ys)))
-    QCheck.Gen.(triple (oneofl [ 0.25; 0.5; 0.9; 0.99 ]) gen_stream gen_stream)
+    QCheck.Gen.(pair gen_stream gen_stream)
 
-let prop_p2_matches_reference =
-  QCheck.Test.make ~name:"p2 matches reference bit for bit" ~count:200
-    arb_streams (fun (q, xs, ys) ->
-      let module P = Engine.P2_quantile in
-      let agree a o =
-        P.count a = P2_oracle.count o
-        && same (P.estimate a) (P2_oracle.estimate o)
-      in
-      let feed a o x =
-        P.add a x;
-        P2_oracle.add o x;
-        agree a o
-      in
-      let a = P.create ~q and o = P2_oracle.create ~q in
-      (* After a merge, more observations must still agree: every marker
-         height and position is then equal, not only the estimate. *)
-      let merged into into_o =
-        P.merge_into ~into a;
-        P2_oracle.merge_into ~into:into_o o;
-        agree into into_o && List.for_all (feed into into_o) ys
-      in
-      List.for_all (feed a o) xs
-      && merged (P.create ~q) (P2_oracle.create ~q)
-      &&
-      let b = P.create ~q and b_o = P2_oracle.create ~q in
-      List.for_all (feed b b_o) ys && merged b b_o)
-
+(* Moments bit for bit against [Stats] after every observation; at
+   checkpoints (full, merged, merged then fed more) the whole snapshot:
+   moments bit for bit, the three quantiles inside [min, max] and within
+   the bucket bound of the exact order statistics. *)
 let prop_histogram_matches_reference =
   QCheck.Test.make
     ~name:"histogram matches Stats and reference"
-    ~count:200 arb_streams (fun (_, xs, ys) ->
-      let qs = [ 0.5; 0.9; 0.99 ] in
-      let reference () =
-        ( Engine.Stats.create ~keep_samples:false (),
-          List.map (fun q -> P2_oracle.create ~q) qs )
-      in
-      let ref_observe (s, sketches) x =
-        Engine.Stats.add s x;
-        List.iter (fun o -> P2_oracle.add o x) sketches
-      in
-      let ref_merge ~into:(s, sketches) (src, src_sketches) =
-        Engine.Stats.merge_into ~into:s src;
-        List.iter2
-          (fun into o -> P2_oracle.merge_into ~into o)
-          sketches src_sketches
-      in
-      (* Per observation: everything the histogram's accessors expose. *)
-      let live h (s, sketches) =
+    ~count:200 arb_streams (fun (xs, ys) ->
+      let live h s =
         Tel.Histogram.count h = Engine.Stats.count s
         && same (Tel.Histogram.mean h) (Engine.Stats.mean s)
         && same (Tel.Histogram.sum h) (Engine.Stats.sum s)
-        && List.for_all2
-             (fun q o -> same (Tel.Histogram.quantile h q) (P2_oracle.estimate o))
-             qs sketches
       in
-      (* At checkpoints: the snapshot, which adds min and max. *)
       let snapshot tel =
         match Tel.snapshot tel with
         | Engine.Json.Obj fields -> (
@@ -515,60 +483,221 @@ let prop_histogram_matches_reference =
           | _ -> Alcotest.fail "expected one histogram")
         | _ -> Alcotest.fail "snapshot not an object"
       in
-      let settled tel (s, sketches) =
-        let expected =
-          [
-            float_of_int (Engine.Stats.count s);
-            Engine.Stats.mean s;
-            Engine.Stats.min s;
-            Engine.Stats.max s;
-            Engine.Stats.sum s;
-          ]
-          @ List.map P2_oracle.estimate sketches
-        in
-        List.for_all2 same (snapshot tel) expected
+      let settled tel s seen =
+        let seen = sorted seen in
+        match snapshot tel with
+        | [ count; mean; mn; mx; sum; p50; p90; p99 ] ->
+          List.for_all2 same [ count; mean; mn; mx; sum ]
+            [
+              float_of_int (Engine.Stats.count s);
+              Engine.Stats.mean s;
+              Engine.Stats.min s;
+              Engine.Stats.max s;
+              Engine.Stats.sum s;
+            ]
+          && List.for_all2
+               (fun q est ->
+                 if seen = [||] then Float.is_nan est
+                 else
+                   mn <= est && est <= mx
+                   && within_bucket ~exact:(order_stat seen q) est)
+               [ 0.5; 0.9; 0.99 ] [ p50; p90; p99 ]
+        | _ -> Alcotest.fail "histogram snapshot has eight fields"
+      in
+      let feed h s vals =
+        List.for_all
+          (fun x ->
+            Tel.Histogram.observe h x;
+            Engine.Stats.add s x;
+            live h s)
+          vals
       in
       let filled vals =
-        let tel = Tel.create () and r = reference () in
+        let tel = Tel.create () and s = Engine.Stats.create ~keep_samples:false () in
         let h = Tel.histogram tel "h" in
-        let ok =
-          List.for_all
-            (fun x ->
-              Tel.Histogram.observe h x;
-              ref_observe r x;
-              live h r)
-            vals
-        in
-        (tel, h, r, ok && settled tel r)
+        let ok = feed h s vals in
+        (tel, h, s, vals, ok && settled tel s vals)
       in
-      let src, _, src_r, ok = filled xs in
-      let merged (into, h, r, ok) =
+      let src, _, src_s, _, ok = filled xs in
+      let merged (into, h, s, vals, ok) =
         ok
         && begin
              Tel.merge_into ~into src;
-             ref_merge ~into:r src_r;
-             settled into r
+             Engine.Stats.merge_into ~into:s src_s;
+             settled into s (vals @ xs)
            end
-        && List.for_all
-             (fun x ->
-               Tel.Histogram.observe h x;
-               ref_observe r x;
-               live h r)
-             ys
-        && settled into r
+        && feed h s ys
+        && settled into s (vals @ xs @ ys)
       in
       ok && merged (filled []) && merged (filled ys))
 
+(* Four streams at 100k observations each; every estimate within the
+   bucket bound of the exact order statistic, the extremes exact. *)
+let test_histogram_accuracy () =
+  let n = 100_000 in
+  let rng = Engine.Rng.create ~seed:2024 in
+  let streams =
+    [
+      ( "log-uniform",
+        List.init n (fun _ -> Float.pow 2. ((40. *. Engine.Rng.float rng) -. 20.))
+      );
+      ("exp(1)", List.init n (fun _ -> Engine.Rng.exponential rng ~mean:1.));
+      ("1..1000", List.init n (fun i -> float_of_int (1 + (i mod 1000))));
+      ( "half zeros",
+        List.init n (fun i -> if i land 1 = 0 then 0. else Engine.Rng.float rng)
+      );
+    ]
+  in
+  List.iter
+    (fun (name, xs) ->
+      let h = Tel.histogram (Tel.create ()) "h" in
+      List.iter (Tel.Histogram.observe h) xs;
+      let a = sorted xs in
+      List.iter
+        (fun q ->
+          let exact = order_stat a q and est = Tel.Histogram.quantile h q in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s q=%g: %.17g vs exact %.17g" name q est exact)
+            true (within_bucket ~exact est))
+        [ 0.25; 0.5; 0.9; 0.99; 0.999 ];
+      check_float (name ^ " q=0 is min") a.(0) (Tel.Histogram.quantile h 0.);
+      check_float (name ^ " q=1 is max")
+        a.(Array.length a - 1)
+        (Tel.Histogram.quantile h 1.))
+    streams
+
+(* One stream split four ways (each part a different distribution, so the
+   parts' buckets differ), merged in every order and as a tree: each
+   result has the one-registry histogram's count and quantiles bit for
+   bit, and its mean and sum up to rounding. *)
+let test_histogram_exact_merge () =
+  let rng = Engine.Rng.create ~seed:7 in
+  let parts =
+    [
+      List.init 3000 (fun _ -> Engine.Rng.exponential rng ~mean:1e-3);
+      List.init 2000 (fun i -> float_of_int (i mod 97));
+      List.init 1000 (fun _ -> Float.pow 10. (Engine.Rng.float_range rng ~lo:(-6.) ~hi:6.));
+      List.init 500 (fun _ -> 0.);
+    ]
+  in
+  let registry xs =
+    let tel = Tel.create () in
+    List.iter (Tel.Histogram.observe (Tel.histogram tel "h")) xs;
+    tel
+  in
+  let whole = Tel.histogram (registry (List.concat parts)) "h" in
+  let qs = List.init 101 (fun i -> float_of_int i /. 100.) @ [ 0.999; 0.9999 ] in
+  let check_against label tel =
+    let h = Tel.histogram tel "h" in
+    Alcotest.(check int) (label ^ ": count") (Tel.Histogram.count whole)
+      (Tel.Histogram.count h);
+    List.iter
+      (fun q ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: q=%g bit for bit" label q)
+          true
+          (same (Tel.Histogram.quantile whole q) (Tel.Histogram.quantile h q)))
+      qs;
+    let close a b = Float.abs (a -. b) <= 1e-12 *. Float.abs a in
+    Alcotest.(check bool) (label ^ ": mean") true
+      (close (Tel.Histogram.mean whole) (Tel.Histogram.mean h));
+    Alcotest.(check bool) (label ^ ": sum") true
+      (close (Tel.Histogram.sum whole) (Tel.Histogram.sum h))
+  in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x ->
+          List.map (List.cons x) (permutations (List.filter (( <> ) x) l)))
+        l
+  in
+  List.iteri
+    (fun k order ->
+      let into = Tel.create () in
+      List.iter (fun i -> Tel.merge_into ~into (registry (List.nth parts i))) order;
+      check_against (Printf.sprintf "order %d" k) into)
+    (permutations [ 0; 1; 2; 3 ]);
+  let pair a b =
+    let into = registry (List.nth parts a) in
+    Tel.merge_into ~into (registry (List.nth parts b));
+    into
+  in
+  let tree = pair 3 1 in
+  Tel.merge_into ~into:tree (pair 2 0);
+  check_against "tree" tree;
+  (* An empty source, or a source without the histogram, changes
+     nothing. *)
+  let empty = Tel.create () in
+  ignore (Tel.histogram empty "h");
+  Tel.merge_into ~into:tree empty;
+  Tel.merge_into ~into:tree (Tel.create ());
+  check_against "empty sources" tree
+
+(* Where telemetry.mli says each kind of value lands, read back through
+   [quantile] (bucket values are clamped to the observed range). *)
+let test_histogram_edge_values () =
+  let of_list xs =
+    let h = Tel.histogram (Tel.create ()) "h" in
+    List.iter (Tel.Histogram.observe h) xs;
+    h
+  in
+  let q = Tel.Histogram.quantile in
+  let empty = of_list [] in
+  Alcotest.(check bool) "empty reads nan" true (Float.is_nan (q empty 0.5));
+  (* Zero, negatives and -inf share the zero bucket, which reads 0. *)
+  let h = of_list [ 0.; -0.; 4.; 8. ] in
+  check_float "zeros read 0" 0. (q h 0.5);
+  let h = of_list [ -3.; neg_infinity; 1.; 2.; 4. ] in
+  check_float "negatives read 0" 0. (q h 0.4);
+  check_float "q=0 is the true min" neg_infinity (q h 0.);
+  (* All negative: the zero bucket's 0 is clamped to the max. *)
+  check_float "clamped to max" (-1.) (q (of_list [ -5.; -1. ]) 0.5);
+  (* Subnormals and other positives below 2^-32: the underflow bucket,
+     which reads 2^-33. *)
+  let h = of_list [ 5e-324; Float.ldexp 1. (-40); 1.; 2. ] in
+  check_float "underflow reads 2^-33" (Float.ldexp 1. (-33)) (q h 0.5);
+  (* 2^32 and above, +inf: the overflow bucket, which reads as the max. *)
+  let h = of_list [ 1.; Float.ldexp 1. 32; 1e300 ] in
+  check_float "overflow reads max" 1e300 (q h 0.9);
+  let h = of_list [ 1.; 2.; infinity ] in
+  check_float "+inf reads max" infinity (q h 0.9);
+  (* nan: counted, poisons the mean, lands in the overflow bucket (a rank
+     it holds reads as the max) and leaves the lower ranks alone. *)
+  let h = of_list [ -1.; 3.; nan ] in
+  Alcotest.(check int) "nan counted" 3 (Tel.Histogram.count h);
+  Alcotest.(check bool) "nan mean" true (Float.is_nan (Tel.Histogram.mean h));
+  check_float "rank below nan" 3. (q h 0.5);
+  check_float "nan's rank reads max" 3. (q h 0.9);
+  (* In range: a power of two opens its bucket, whose midpoint is within
+     1/64 of it. *)
+  let h = of_list [ 0.5; 1.; 1.; 1.; 1.5 ] in
+  check_float "midpoint of [1, 1+1/32)" (1. +. (1. /. 64.)) (q h 0.5);
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%g rejected" bad)
+        true
+        (try
+           ignore (q h bad);
+           false
+         with Invalid_argument _ -> true))
+    [ -0.1; 1.1; nan ]
+
 let test_instruments_allocation_free () =
-  (* Pre-boxed inputs, so only the callee's own allocation is counted. *)
-  let xs = Array.init 1024 (fun i -> ref (float_of_int ((i * 7919) mod 1024) *. 1e-6)) in
-  let sketch = Engine.P2_quantile.create ~q:0.99 in
+  (* Pre-boxed inputs, so only the callee's own allocation is counted;
+     the values reach every bucket kind. *)
+  let xs =
+    Array.init 1024 (fun i ->
+        ref
+          (match i mod 8 with
+          | 0 -> 0.
+          | 1 -> -1.
+          | 2 -> 1e-300
+          | 3 -> 1e300
+          | _ -> float_of_int ((i * 7919) mod 1024) *. 1e-6))
+  in
   let h = Tel.histogram (Tel.create ()) "h" in
-  (* Past the one-off sort of the first five samples. *)
-  for i = 0 to 4 do
-    Engine.P2_quantile.add sketch !(xs.(i));
-    Tel.Histogram.observe h !(xs.(i))
-  done;
   let words f =
     let before = Gc.minor_words () in
     for i = 1 to 10_000 do
@@ -576,7 +705,6 @@ let test_instruments_allocation_free () =
     done;
     Gc.minor_words () -. before
   in
-  check_float "P2_quantile.add words" 0. (words (Engine.P2_quantile.add sketch));
   check_float "Histogram.observe words" 0. (words (Tel.Histogram.observe h))
 
 let () =
@@ -619,9 +747,14 @@ let () =
           Alcotest.test_case "instrumented preprocessor" `Quick
             test_instrumented_preprocessor;
         ] );
+      ( "histogram",
+        [
+          Alcotest.test_case "accuracy" `Quick test_histogram_accuracy;
+          Alcotest.test_case "exact merge" `Quick test_histogram_exact_merge;
+          Alcotest.test_case "edge values" `Quick test_histogram_edge_values;
+        ] );
       ( "reference",
         [
-          qc prop_p2_matches_reference;
           qc prop_histogram_matches_reference;
           Alcotest.test_case "allocation free" `Quick
             test_instruments_allocation_free;
