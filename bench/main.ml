@@ -392,6 +392,29 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
      charged to the callee's alloc B/op.  Loops cycle through the 1024
      cells with [i land 1023]. *)
   let boxed f = Array.init 1024 (fun i -> ref (f i)) in
+  (* The same cycle with ~128 events pending at delays from 0.1 us to
+     1 ms (log-spread): pops scan the slot bitmap, cross slot words and
+     reach the overflow heap, as the fabric's mix of per-hop, transport
+     and timer events does.  Each op schedules one event and fires one. *)
+  let bench_event_loop_spread () =
+    let sim = Engine.Sim.create () in
+    let delays =
+      boxed (fun i -> 1e-7 *. (1e4 ** (float_of_int ((i * 617) land 1023) /. 1023.)))
+    in
+    bench "engine/event-loop-spread" (fun n ->
+        let left = ref n and k = ref 0 in
+        let rec fire () =
+          if !left > 0 then begin
+            decr left;
+            incr k;
+            Engine.Sim.schedule_after_ sim ~delay:!(delays.(!k land 1023)) fire
+          end
+        in
+        for _ = 1 to Stdlib.min 128 n do
+          fire ()
+        done;
+        Engine.Sim.run sim)
+  in
   let recorder_bench name recorder =
     let times = boxed float_of_int in
     bench name (fun n ->
@@ -574,6 +597,7 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_bucket_dense ();
       bench_fifo ();
       bench_event_loop ();
+      bench_event_loop_spread ();
       bench_preprocessor ();
       bench_recorder ();
       bench_tsdb ();

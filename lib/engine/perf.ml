@@ -120,9 +120,12 @@ module Meter = struct
     m_enabled : bool;
     m_mask : int;
     mutable m_ops : int;
-    (* Allocation counter (bytes, as an int) captured by [before] on a
-       sampled event; [min_int] when no sample is in flight.  Stored as
-       an int so the steady-state bracket never allocates a float box. *)
+    (* Minor-heap words allocated so far, captured by [before] on a
+       sampled event; [min_int] when no sample is in flight.
+       [Gc.minor_words] is an unboxed external that allocates nothing and
+       is exact, where [Gc.counters] allocates its result and folds in a
+       major counter that catches up inside whichever window it lands
+       in.  Stored as an int so the bracket never allocates a float box. *)
     mutable m_pending : int;
     mutable m_sampled : int;
     mutable m_sampled_bytes : int;
@@ -158,16 +161,15 @@ module Meter = struct
     if t.m_enabled then begin
       t.m_ops <- t.m_ops + 1;
       if t.m_ops land t.m_mask = 0 then
-        t.m_pending <- int_of_float (allocated_bytes ())
+        t.m_pending <- int_of_float (Gc.minor_words ())
     end
 
   let after t =
     if t.m_enabled && t.m_pending <> min_int then begin
-      let b = int_of_float (allocated_bytes ()) - t.m_pending in
+      let words = int_of_float (Gc.minor_words ()) - t.m_pending in
       t.m_pending <- min_int;
       t.m_sampled <- t.m_sampled + 1;
-      t.m_sampled_bytes <-
-        t.m_sampled_bytes + max 0 (b - int_of_float probe_overhead_bytes)
+      t.m_sampled_bytes <- t.m_sampled_bytes + (words * (Sys.word_size / 8))
     end
 
   let ops t = t.m_ops

@@ -9,8 +9,8 @@
       [Gc.quick_stat]-derived collection/heap/pause gauges pushed into a
       {!Telemetry} registry (and from there rendered by {!Exposition});
     - {!Meter} / {!Meters}: per-stage monotonic event counters with
-      sampled allocation attribution, published as events/sec and
-      alloc-bytes/event gauges at window close;
+      sampled minor-heap allocation attribution, published as events/sec
+      and alloc-bytes/event gauges at window close;
     - {!Bench}: repeated-trial micro-benchmarks reporting min/median/MAD
       for both ns/op and allocated bytes/op — the producer of
       [BENCH_engine.json];
@@ -92,8 +92,10 @@ module Meter : sig
   (** Events counted so far. *)
 
   val alloc_bytes_per_op : t -> float
-  (** Sampled mean bytes allocated per event ([nan] before the first
-      sampled event). *)
+  (** Sampled mean bytes allocated on the minor heap per event ([nan]
+      before the first sampled event).  Exact for the bracketed code:
+      the probe allocates nothing and ignores major-heap allocation,
+      which {!sample_gc}'s [gc.*] gauges report. *)
 end
 
 (** The fixed stage set the fabric instruments: enqueue, dequeue,

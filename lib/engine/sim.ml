@@ -1,13 +1,12 @@
-type handle = { mutable live : bool; action : unit -> unit }
-
-(* Hot-path events skip the handle record entirely: the per-packet
-   transmit/arrival events in the network simulator are never cancelled,
-   so boxing a cancellation flag for each of them is pure overhead. *)
-type ev = Fun of (unit -> unit) | H of handle
+(* A cancellable event's thunk checks its handle; the handle never names
+   the event's pool slot, which is reused once the event pops. *)
+type handle = { mutable live : bool }
 
 type t = {
   mutable clock : float;
-  queue : ev Timer_wheel.t;
+  (* The payload is the event's thunk itself: hot-path events (per-packet
+     transmit/arrival) are never cancelled and cost no wrapper. *)
+  queue : (unit -> unit) Timer_wheel.t;
   mutable fired : int;
   mutable busy : float; (* wall-clock seconds spent inside the event loop *)
   profiler : Span.t;
@@ -16,7 +15,7 @@ type t = {
 let create ?(profiler = Span.disabled) () =
   {
     clock = 0.;
-    queue = Timer_wheel.create ();
+    queue = Timer_wheel.create ~empty:ignore ();
     fired = 0;
     busy = 0.;
     profiler;
@@ -24,45 +23,46 @@ let create ?(profiler = Span.disabled) () =
 
 let now t = t.clock
 
-let check_time t time =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock)
+(* Scheduling checks compare in line and raise out of line, so a float
+   is boxed once per event, for the queue, and not again for a check.
+   [not (time >= now)] also rejects nan, which would otherwise fire first
+   and leave the clock at nan. *)
+let past t time =
+  invalid_arg
+    (Printf.sprintf "Sim.schedule_at: time %g is nan or before now %g" time
+       t.clock)
 
+let bad_delay () = invalid_arg "Sim.schedule_after: negative or nan delay"
+
+let schedule_at_ t ~time f =
+  if not (time >= t.clock) then past t time;
+  Timer_wheel.push t.queue ~time f
+
+(* [now +. delay >= now] holds for every [delay >= 0.]. *)
+let schedule_after_ t ~delay f =
+  if not (delay >= 0.) then bad_delay ();
+  Timer_wheel.push t.queue ~time:(t.clock +. delay) f
+
+(* The loop counts every popped event as fired; a cancelled one takes its
+   count back, so [events_fired] still excludes it. *)
 let schedule_at t ~time f =
-  check_time t time;
-  let h = { live = true; action = f } in
-  Timer_wheel.push t.queue ~time (H h);
+  if not (time >= t.clock) then past t time;
+  let h = { live = true } in
+  Timer_wheel.push t.queue ~time (fun () ->
+      if h.live then begin
+        h.live <- false;
+        f ()
+      end
+      else t.fired <- t.fired - 1);
   h
 
 let schedule_after t ~delay f =
-  if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
+  if not (delay >= 0.) then bad_delay ();
   schedule_at t ~time:(t.clock +. delay) f
-
-let schedule_at_ t ~time f =
-  check_time t time;
-  Timer_wheel.push t.queue ~time (Fun f)
-
-let schedule_after_ t ~delay f =
-  if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
-  schedule_at_ t ~time:(t.clock +. delay) f
 
 let cancel h = h.live <- false
 
 let is_pending h = h.live
-
-let fire t time ev =
-  t.clock <- time;
-  match ev with
-  | Fun f ->
-    t.fired <- t.fired + 1;
-    f ()
-  | H h ->
-    if h.live then begin
-      h.live <- false;
-      t.fired <- t.fired + 1;
-      h.action ()
-    end
 
 (* The one event loop: fire at most [budget] queued events (cancelled
    ones count) due at or before [horizon]; [true] once none is left. *)
@@ -71,17 +71,22 @@ let drain t ~horizon ~budget =
       let started = Unix.gettimeofday () in
       let left = ref budget and reached = ref false in
       while (not !reached) && !left > 0 do
-        match Timer_wheel.pop_before t.queue ~horizon with
-        | Some (time, ev) ->
-          fire t time ev;
-          decr left
-        | None -> reached := true
+        let i = Timer_wheel.pop_before t.queue ~horizon in
+        if i < 0 then reached := true
+        else begin
+          t.clock <- Timer_wheel.time t.queue i;
+          let f = Timer_wheel.take t.queue i in
+          t.fired <- t.fired + 1;
+          decr left;
+          f ()
+        end
       done;
       t.busy <- t.busy +. (Unix.gettimeofday () -. started);
       !reached)
 
 let advance t ~until ~budget =
   if budget < 1 then invalid_arg "Sim.advance: budget < 1";
+  if Float.is_nan until then invalid_arg "Sim.advance: until is nan";
   let reached = drain t ~horizon:until ~budget in
   if reached then t.clock <- max t.clock until;
   reached
@@ -90,8 +95,6 @@ let run ?until t =
   match until with
   | None -> ignore (drain t ~horizon:infinity ~budget:max_int)
   | Some until -> ignore (advance t ~until ~budget:max_int)
-
-let pending_events t = Timer_wheel.size t.queue
 
 let events_fired t = t.fired
 

@@ -1,9 +1,12 @@
 (** Discrete-event simulation driver.
 
-    A simulation owns a virtual clock and an event queue of thunks.
-    Components schedule callbacks at absolute or relative virtual times;
-    [run] drains the queue in time order.  Events scheduled for the same
-    instant fire in scheduling order. *)
+    A simulation owns a virtual clock and an event queue of thunks (a
+    {!Timer_wheel} whose payload is the thunk itself).  Components
+    schedule callbacks at absolute or relative virtual times; [run]
+    drains the queue in time order.  Events scheduled for the same
+    instant fire in scheduling order.  A fire-and-forget event allocates
+    nothing in the queue; a cancellable one allocates its handle and a
+    wrapper thunk that checks it. *)
 
 type t
 
@@ -26,22 +29,22 @@ val now : t -> float
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] when the clock reaches [time].
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is in the past or nan. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] is [schedule_at t ~time:(now t +. delay) f].
-    @raise Invalid_argument if [delay < 0.]. *)
+    @raise Invalid_argument if [delay] is negative or nan. *)
 
 val schedule_at_ : t -> time:float -> (unit -> unit) -> unit
 (** Handle-free fast path: like {!schedule_at} but the event cannot be
     cancelled and no handle is allocated.  Use for fire-and-forget events
     on hot paths (see {!type:handle} for when a handle is warranted).
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is in the past or nan. *)
 
 val schedule_after_ : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule_after_ t ~delay f] is
     [schedule_at_ t ~time:(now t +. delay) f].
-    @raise Invalid_argument if [delay < 0.]. *)
+    @raise Invalid_argument if [delay] is negative or nan. *)
 
 val cancel : handle -> unit
 (** Cancel a pending event; cancelling an already-fired or already-cancelled
@@ -62,10 +65,7 @@ val advance : t -> until:float -> budget:int -> bool
     event fired.  Calling it again resumes where it stopped, so a caller
     can do other work between bounded chunks of one span of simulated
     time without changing what the simulation does.
-    @raise Invalid_argument if [budget < 1]. *)
-
-val pending_events : t -> int
-(** Number of scheduled (possibly cancelled) events still queued. *)
+    @raise Invalid_argument if [budget < 1] or [until] is nan. *)
 
 val events_fired : t -> int
 (** Events whose action actually ran so far (cancelled events excluded) —

@@ -1,44 +1,49 @@
-(** Timer-wheel event queue — a drop-in replacement for {!Event_queue} on
-    the simulation hot path.
+(** Timer-wheel event queue: the simulation's one event queue.
 
     Virtual times quantize to integer ticks (default [2^-24] s ≈ 59.6 ns —
     a power of two so tick arithmetic is exact float scaling); events
     within the wheel's horizon ([2^slots_pow2] ticks, ~244 µs at the
     defaults) get O(1) push and near-O(1) pop via a hierarchical
-    find-first-set bitmap over the slots, while farther events overflow to
-    a binary heap and are merged back by a head-to-head comparison at pop
-    time.  Quantization never reorders: ticks are monotone in time and
-    within a tick events sort by exact (time, push order).
+    find-first-set bitmap over the slots, while farther events, +inf
+    included, overflow to a binary heap and are merged back by a
+    head-to-head comparison at pop time.  Quantization never reorders:
+    ticks are monotone in time and within a tick events sort by exact
+    (time, push order).  Events pop in non-decreasing time, FIFO among
+    equal times (global push order).
 
-    Ordering is {e identical} to {!Event_queue}: events pop in
-    non-decreasing time, FIFO among equal times (global push order), which
-    keeps every simulation byte-identical when swapped in. *)
+    Events live in a struct-of-arrays pool and are named by pool index:
+    {!pop_before} returns an index, {!time} reads its time and {!take}
+    hands back its payload and frees the index for reuse.  No event
+    allocates once the pool has grown to the peak number pending, and a
+    taken index keeps nothing of its payload alive. *)
 
 type 'a t
 
-val create : ?tick:float -> ?slots_pow2:int -> unit -> 'a t
+val create : ?tick:float -> ?slots_pow2:int -> empty:'a -> unit -> 'a t
 (** [tick] is the quantization step in seconds (default [2^-24]);
     [slots_pow2] the log2 slot count (default [12], keeping the slot
-    anchors L2-resident).
-    @raise Invalid_argument if [tick <= 0] or [slots_pow2] outside
-    [\[5, 24\]]. *)
+    anchors L2-resident).  [empty] is what a free pool cell holds in
+    place of a payload; it should keep nothing alive.
+    @raise Invalid_argument if [tick] is not positive or [slots_pow2] is
+    outside [\[5, 24\]]. *)
 
 val push : 'a t -> time:float -> 'a -> unit
-(** Insert an event to fire at [time].  Times must be non-negative and not
-    precede the last popped event's time (both hold for {!Sim}, whose
-    clock never runs backwards). *)
+(** Insert an event to fire at [time].  Times must not precede the last
+    popped event's time (which holds for {!Sim}, whose clock never runs
+    backwards).
+    @raise Invalid_argument if [time] is negative or nan. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, FIFO among equal times. *)
+val pop_before : 'a t -> horizon:float -> int
+(** Remove the earliest event if its time is [<= horizon] and return its
+    pool index, or [-1] when the queue is empty or its earliest event is
+    later.  The index stays reserved for {!time} and {!take}: call
+    {!take} on it exactly once. *)
 
-val pop_before : 'a t -> horizon:float -> (float * 'a) option
-(** [pop] only if the earliest event's time is [<= horizon]; one head
-    lookup instead of a peek-then-pop pair. *)
+val time : 'a t -> int -> float
+(** Time of a popped event, by the index {!pop_before} returned. *)
 
-val peek_time : 'a t -> float option
+val take : 'a t -> int -> 'a
+(** The payload of a popped event; frees its index. *)
 
 val size : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
+(** Events pushed and not yet popped. *)

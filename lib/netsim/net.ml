@@ -23,11 +23,63 @@ type port = {
   mutable last_uid : int;
   mutable last_enq_bits : int;
   mutable last_deq_bits : int;
-  (* Preallocated end-of-transmission continuation, installed right after
-     the net is built so the per-packet hot path schedules it without
-     allocating a fresh closure. *)
+  (* Preallocated end-of-transmission and arrival continuations,
+     installed right after the net is built so the per-packet hot path
+     schedules them without allocating a fresh closure. *)
   mutable tx_done : unit -> unit;
+  mutable arrive : unit -> unit;
+  (* Packets on the wire, oldest first: a FIFO ring (power-of-two
+     capacity) that [arrive] pops.  Ring order is arrival order: the link
+     serializes transmissions, each lasting [size * 8 / rate] > 0
+     seconds, so the port's arrival times strictly increase, and equal
+     times would still fire in push order. *)
+  mutable wire : Sched.Packet.t array;
+  mutable wire_head : int;
+  mutable wire_len : int;
 }
+
+(* What a free wire cell holds, so a delivered packet is not kept alive
+   by its link.  A literal rather than [Packet.make], which would draw a
+   uid. *)
+let no_packet : Sched.Packet.t =
+  {
+    uid = -1;
+    kind = Sched.Packet.Data;
+    flow = -1;
+    tenant = -1;
+    src = -1;
+    dst = -1;
+    size = 0;
+    seq = 0;
+    payload = 0;
+    remaining = 0;
+    deadline = infinity;
+    created_at = 0.;
+    label = 0;
+    rank = 0;
+    enqueued_at = 0.;
+  }
+
+let wire_push port p =
+  let cap = Array.length port.wire in
+  if port.wire_len = cap then begin
+    let grown = Array.make (2 * cap) no_packet in
+    for k = 0 to cap - 1 do
+      grown.(k) <- port.wire.((port.wire_head + k) land (cap - 1))
+    done;
+    port.wire <- grown;
+    port.wire_head <- 0
+  end;
+  let mask = Array.length port.wire - 1 in
+  port.wire.((port.wire_head + port.wire_len) land mask) <- p;
+  port.wire_len <- port.wire_len + 1
+
+let wire_pop port =
+  let p = port.wire.(port.wire_head) in
+  port.wire.(port.wire_head) <- no_packet;
+  port.wire_head <- (port.wire_head + 1) land (Array.length port.wire - 1);
+  port.wire_len <- port.wire_len - 1;
+  p
 
 module Tel = Engine.Telemetry
 module Perf = Engine.Perf
@@ -96,6 +148,9 @@ type t = {
   deliver : Sched.Packet.t -> unit;
   ins : instruments option;
   flight : flight option;
+  (* Whether any of the four hooks or the meters was given: when not, a
+     hop makes none of the hook calls or meter brackets. *)
+  observed : bool;
   (* Stage meters, pre-extracted so the hot path pays one field load per
      bracket (all are [Perf.Meter.disabled] unless the caller passed
      enabled meters). *)
@@ -164,12 +219,16 @@ let tenant_counters ins id =
   else new_tenant_counters ins id
 
 let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
-    ?preprocess ?(on_enqueue = fun _ -> ()) ?(on_dequeue = fun _ -> ())
-    ?(on_drop = fun _ -> ()) ?(on_tie_inversion = fun _ -> ())
+    ?preprocess ?on_enqueue ?on_dequeue ?on_drop ?on_tie_inversion
     ?telemetry ?(profiler = Engine.Span.disabled) ?flight
     ?(on_anomaly = fun ~link_id:_ _ -> ()) ?(meters = Perf.Meters.disabled)
     ~deliver () =
   Engine.Span.with_ profiler ~name:"net.build" @@ fun () ->
+  let observed =
+    on_enqueue <> None || on_dequeue <> None || on_drop <> None
+    || on_tie_inversion <> None || Perf.Meters.is_enabled meters
+  in
+  let hook = Option.value ~default:ignore in
   let ports =
     Array.init (Topology.num_links topo) (fun id ->
         let link = Topology.link topo id in
@@ -200,6 +259,10 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
           last_enq_bits = 0;
           last_deq_bits = 0;
           tx_done = ignore;
+          arrive = ignore;
+          wire = Array.make 4 no_packet;
+          wire_head = 0;
+          wire_len = 0;
         })
   in
   let ins =
@@ -235,13 +298,14 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
     ports;
     preprocess = Option.value preprocess ~default:(fun _ -> ());
     has_preprocess = preprocess <> None;
-    on_enqueue;
-    on_dequeue;
-    on_drop;
-    on_tie_inversion;
+    on_enqueue = hook on_enqueue;
+    on_dequeue = hook on_dequeue;
+    on_drop = hook on_drop;
+    on_tie_inversion = hook on_tie_inversion;
     deliver;
     ins;
     flight;
+    observed;
     m_enq = Perf.Meters.enqueue meters;
     m_deq = Perf.Meters.dequeue meters;
     m_pre = Perf.Meters.preprocess meters;
@@ -257,9 +321,11 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
    record, telemetry — all without materializing a drop list. *)
 let handle_drop t (d : Sched.Packet.t) =
   t.dropped_any <- true;
-  Perf.Meter.before t.m_slo;
-  t.on_drop d;
-  Perf.Meter.after t.m_slo;
+  if t.observed then begin
+    Perf.Meter.before t.m_slo;
+    t.on_drop d;
+    Perf.Meter.after t.m_slo
+  end;
   (* The arrival itself is a drop; any other packet is a queued one it
      pushed out.  The flight ring and the trace carry the same kind. *)
   let kind =
@@ -329,7 +395,7 @@ let rec pump t port =
     match if admitted then port.qdisc.Sched.Qdisc.dequeue () else None with
     | None -> ()
     | Some p ->
-      Perf.Meter.before t.m_deq;
+      if t.observed then Perf.Meter.before t.m_deq;
       (match port.bucket with
       | Some bucket ->
         bucket.tokens <-
@@ -361,17 +427,21 @@ let rec pump t port =
         (match t.ins with
         | Some ins -> Tel.Counter.incr ins.tie_total
         | None -> ());
-        Perf.Meter.before t.m_slo;
-        t.on_tie_inversion p;
-        Perf.Meter.after t.m_slo
+        if t.observed then begin
+          Perf.Meter.before t.m_slo;
+          t.on_tie_inversion p;
+          Perf.Meter.after t.m_slo
+        end
       end;
       port.last_rank <- p.Sched.Packet.rank;
       port.last_uid <- p.Sched.Packet.uid;
       port.last_enq_bits <- enq_bits;
       port.last_deq_bits <- Int64.to_int (Int64.bits_of_float deq_now);
-      Perf.Meter.before t.m_slo;
-      t.on_dequeue p;
-      Perf.Meter.after t.m_slo;
+      if t.observed then begin
+        Perf.Meter.before t.m_slo;
+        t.on_dequeue p;
+        Perf.Meter.after t.m_slo
+      end;
       (match t.flight with
       | None -> ()
       | Some fl ->
@@ -401,23 +471,26 @@ let rec pump t port =
             ~rank:p.Sched.Packet.rank);
       let tx_time = 8. *. float_of_int p.Sched.Packet.size /. port.link.Topology.rate in
       let arrival = tx_time +. port.link.Topology.delay in
+      wire_push port p;
       Engine.Sim.schedule_after_ t.sim ~delay:tx_time port.tx_done;
-      Engine.Sim.schedule_after_ t.sim ~delay:arrival (fun () ->
-          receive t port.link.Topology.dst p);
-      Perf.Meter.after t.m_deq
+      Engine.Sim.schedule_after_ t.sim ~delay:arrival port.arrive;
+      if t.observed then Perf.Meter.after t.m_deq
   end
 
 and enqueue t port p =
   (* The enqueue meter brackets the whole per-hop admission path
      (preprocess and audit hooks included); the nested preprocess /
      slo_audit / recorder meters attribute its components. *)
-  Perf.Meter.before t.m_enq;
-  Perf.Meter.before t.m_pre;
-  t.preprocess p;
-  Perf.Meter.after t.m_pre;
-  Perf.Meter.before t.m_slo;
-  t.on_enqueue p;
-  Perf.Meter.after t.m_slo;
+  if t.observed then begin
+    Perf.Meter.before t.m_enq;
+    Perf.Meter.before t.m_pre;
+    t.preprocess p;
+    Perf.Meter.after t.m_pre;
+    Perf.Meter.before t.m_slo;
+    t.on_enqueue p;
+    Perf.Meter.after t.m_slo
+  end
+  else t.preprocess p;
   p.Sched.Packet.enqueued_at <- Engine.Sim.now t.sim;
   let link_id = port.link.Topology.id in
   (* Admission-side flight records and telemetry are written before the
@@ -475,7 +548,7 @@ and enqueue t port p =
   | Some ins ->
     Tel.Histogram.observe ins.depth
       (float_of_int (port.qdisc.Sched.Qdisc.length ())));
-  Perf.Meter.after t.m_enq;
+  if t.observed then Perf.Meter.after t.m_enq;
   pump t port
 
 and forward t node p =
@@ -506,7 +579,8 @@ let create ~sim ~topo ~routing ~make_qdisc ?shaper_of ?preprocess ?on_enqueue
       port.tx_done <-
         (fun () ->
           port.busy <- false;
-          pump t port))
+          pump t port);
+      port.arrive <- (fun () -> receive t port.link.Topology.dst (wire_pop port)))
     t.ports;
   t
 

@@ -5,7 +5,11 @@
     queue discipline.  Transmitting a packet occupies the link for
     [size * 8 / rate] seconds; the packet then arrives at the far end after
     the propagation delay and is either forwarded (switch) or delivered
-    (host).
+    (host).  A port keeps the packets it has put on the wire in a FIFO
+    ring and one preallocated arrival event pops it, so a hop allocates
+    no closure.  Ring order is arrival order: the link serializes its
+    transmissions, so its arrival times strictly increase, and events at
+    equal times fire in scheduling order.
 
     The [preprocess] hook runs on every packet immediately before it is
     offered to a port's queue — this is where QVISOR's pre-processor
@@ -89,6 +93,9 @@ val create :
     trigger.  When a trigger fires, [on_anomaly] (default: nothing) runs
     with the port's recorder — the hook dumps the last-N events as NDJSON
     next to whatever reproducer the caller is writing.
+
+    With none of the four hooks and no enabled [meters], a hop makes no
+    hook call and no meter bracket.
 
     [meters] (default: {!Engine.Perf.Meters.disabled}) brackets the
     per-hop stages with throughput meters: [enqueue] spans the whole

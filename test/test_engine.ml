@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine: Rng, Vec, Event_queue, Sim,
+(* Tests for the discrete-event engine: Rng, Vec, Timer_wheel, Sim,
    Stats, and the streaming quantiles of Telemetry.Histogram. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -196,118 +196,43 @@ let test_vec_conversions () =
   Alcotest.(check int) "fold" 18 (Engine.Vec.fold_left ( + ) 0 v)
 
 (* ------------------------------------------------------------------ *)
-(* Event_queue                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_eq_ordering () =
-  let q = Engine.Event_queue.create () in
-  Engine.Event_queue.push q ~time:3.0 "c";
-  Engine.Event_queue.push q ~time:1.0 "a";
-  Engine.Event_queue.push q ~time:2.0 "b";
-  let pop () =
-    match Engine.Event_queue.pop q with
-    | Some (_, x) -> x
-    | None -> Alcotest.fail "unexpected empty"
-  in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Engine.Event_queue.is_empty q)
-
-let test_eq_fifo_ties () =
-  let q = Engine.Event_queue.create () in
-  for i = 0 to 9 do
-    Engine.Event_queue.push q ~time:1.0 i
-  done;
-  for i = 0 to 9 do
-    match Engine.Event_queue.pop q with
-    | Some (_, x) -> Alcotest.(check int) "FIFO among ties" i x
-    | None -> Alcotest.fail "unexpected empty"
-  done
-
-let test_eq_peek () =
-  let q = Engine.Event_queue.create () in
-  Alcotest.(check (option (float 0.))) "peek empty" None
-    (Engine.Event_queue.peek_time q);
-  Engine.Event_queue.push q ~time:4.2 ();
-  Alcotest.(check (option (float 1e-9))) "peek" (Some 4.2)
-    (Engine.Event_queue.peek_time q);
-  Alcotest.(check int) "size" 1 (Engine.Event_queue.size q)
-
-let test_eq_interleaved () =
-  (* Random interleaving of pushes and pops must always pop in
-     non-decreasing time order. *)
-  let r = Engine.Rng.create ~seed:47 in
-  let q = Engine.Event_queue.create () in
-  let last = ref neg_infinity in
-  for _ = 1 to 10_000 do
-    if Engine.Rng.bool r || Engine.Event_queue.is_empty q then
-      Engine.Event_queue.push q ~time:(Engine.Rng.float r) ()
-    else begin
-      match Engine.Event_queue.pop q with
-      | Some (t, ()) ->
-        if t < !last -. 1e-12 then Alcotest.fail "pop went backwards";
-        last := t
-      | None -> ()
-    end;
-    (* Monotonicity only holds among pops between which no earlier-timed
-       push happened; reset the watermark on push. *)
-    last := neg_infinity
-  done;
-  (* Drain and check global order of remaining items. *)
-  let prev = ref neg_infinity in
-  let rec drain () =
-    match Engine.Event_queue.pop q with
-    | Some (t, ()) ->
-      if t < !prev then Alcotest.fail "drain out of order";
-      prev := t;
-      drain ()
-    | None -> ()
-  in
-  drain ()
-
-let prop_eq_sorted =
-  QCheck.Test.make ~name:"event_queue pops sorted" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.))
-    (fun times ->
-      let q = Engine.Event_queue.create () in
-      List.iter (fun t -> Engine.Event_queue.push q ~time:t ()) times;
-      let rec drain acc =
-        match Engine.Event_queue.pop q with
-        | Some (t, ()) -> drain (t :: acc)
-        | None -> List.rev acc
-      in
-      let popped = drain [] in
-      let sorted = List.sort Float.compare times in
-      popped = sorted)
-
-(* ------------------------------------------------------------------ *)
 (* Timer wheel                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The wheel's horizon at the defaults is 2^16 ticks of 1 ns = ~65 us;
-   times comfortably beyond it exercise the overflow heap. *)
+(* The wheel's horizon at the defaults is 2^12 ticks of 2^-24 s, about
+   244 us; times comfortably beyond it exercise the overflow heap. *)
+let tick = 0x1p-24
+let horizon = 4096. *. tick
 let far = 1e-3
 
+let new_wheel () = Engine.Timer_wheel.create ~empty:(-1) ()
+
+(* Pop the earliest event due by [horizon], as (time, payload). *)
+let tw_pop ?(horizon = infinity) q =
+  let i = Engine.Timer_wheel.pop_before q ~horizon in
+  if i < 0 then None
+  else
+    let time = Engine.Timer_wheel.time q i in
+    Some (time, Engine.Timer_wheel.take q i)
+
+let tw_pop_exn q =
+  match tw_pop q with Some x -> x | None -> Alcotest.fail "unexpected empty"
+
 let test_tw_ordering () =
-  let q = Engine.Timer_wheel.create () in
+  let q = Engine.Timer_wheel.create ~empty:"" () in
   Engine.Timer_wheel.push q ~time:3e-6 "c";
   Engine.Timer_wheel.push q ~time:1e-6 "a";
   Engine.Timer_wheel.push q ~time:2e-6 "b";
-  let pop () =
-    match Engine.Timer_wheel.pop q with
-    | Some (_, x) -> x
-    | None -> Alcotest.fail "unexpected empty"
-  in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Engine.Timer_wheel.is_empty q)
+  Alcotest.(check string) "first" "a" (snd (tw_pop_exn q));
+  Alcotest.(check string) "second" "b" (snd (tw_pop_exn q));
+  Alcotest.(check string) "third" "c" (snd (tw_pop_exn q));
+  Alcotest.(check int) "empty" 0 (Engine.Timer_wheel.size q);
+  Alcotest.(check (option (pair (float 0.) string))) "pop empty" None (tw_pop q)
 
 let test_tw_same_instant_fifo () =
   (* FIFO among equal times must hold both inside a wheel slot and
      inside the overflow heap. *)
-  let q = Engine.Timer_wheel.create () in
+  let q = new_wheel () in
   for i = 0 to 9 do
     Engine.Timer_wheel.push q ~time:1e-6 i
   done;
@@ -316,60 +241,126 @@ let test_tw_same_instant_fifo () =
   done;
   Alcotest.(check int) "size" 20 (Engine.Timer_wheel.size q);
   for i = 0 to 19 do
-    match Engine.Timer_wheel.pop q with
-    | Some (_, x) -> Alcotest.(check int) "FIFO among ties" i x
-    | None -> Alcotest.fail "unexpected empty"
+    Alcotest.(check int) "FIFO among ties" i (snd (tw_pop_exn q))
   done
 
 let test_tw_far_future_overflow () =
   (* Far-future events park in the overflow heap yet still interleave
      exactly with wheel-resident ones, including events pushed into the
      wheel after its base has advanced past the original horizon. *)
-  let q = Engine.Timer_wheel.create () in
+  let q = Engine.Timer_wheel.create ~empty:"" () in
   Engine.Timer_wheel.push q ~time:far "far";
   Engine.Timer_wheel.push q ~time:1e-6 "near";
   Engine.Timer_wheel.push q ~time:(2. *. far) "farther";
-  let pop () =
-    match Engine.Timer_wheel.pop q with
-    | Some (t, x) -> (t, x)
-    | None -> Alcotest.fail "unexpected empty"
-  in
-  Alcotest.(check string) "wheel first" "near" (snd (pop ()));
-  let t_far, x_far = pop () in
+  Alcotest.(check string) "wheel first" "near" (snd (tw_pop_exn q));
+  let t_far, x_far = tw_pop_exn q in
   Alcotest.(check string) "overflow next" "far" x_far;
   check_float "overflow time preserved" far t_far;
   (* The base now sits at [far]; a nearby time lands back in the wheel
      and must beat the remaining heap entry. *)
   Engine.Timer_wheel.push q ~time:(far +. 1e-6) "back-in-wheel";
   Alcotest.(check string) "rewheeled beats heap" "back-in-wheel"
-    (snd (pop ()));
-  Alcotest.(check string) "heap drains last" "farther" (snd (pop ()));
-  Alcotest.(check bool) "empty" true (Engine.Timer_wheel.is_empty q)
+    (snd (tw_pop_exn q));
+  Alcotest.(check string) "heap drains last" "farther" (snd (tw_pop_exn q));
+  Alcotest.(check int) "empty" 0 (Engine.Timer_wheel.size q)
 
-let prop_tw_matches_event_queue =
-  (* Differential: on any batch of (possibly tied, possibly
-     beyond-horizon) times, the wheel pops the exact sequence the
-     binary-heap Event_queue does, payloads included. *)
-  QCheck.Test.make ~name:"timer wheel matches event queue" ~count:200
-    QCheck.(list (int_bound 200))
-    (fun grid ->
-      let wheel = Engine.Timer_wheel.create () in
-      let heap = Engine.Event_queue.create () in
-      List.iteri
-        (fun i g ->
-          (* 0..200 us on a 1 us grid: dense ties, both sides of the
-             ~65 us horizon. *)
-          let time = float_of_int g *. 1e-6 in
-          Engine.Timer_wheel.push wheel ~time i;
-          Engine.Event_queue.push heap ~time i)
-        grid;
-      let rec drain pop acc =
-        match pop () with
-        | Some (t, x) -> drain pop ((t, x) :: acc)
-        | None -> List.rev acc
+let test_tw_non_finite () =
+  (* +inf and times too large for a tick go to the overflow heap and pop
+     after every finite event; nan is rejected. *)
+  let q = Engine.Timer_wheel.create ~empty:"" () in
+  Engine.Timer_wheel.push q ~time:infinity "inf";
+  Engine.Timer_wheel.push q ~time:1e12 "huge";
+  Engine.Timer_wheel.push q ~time:2e-6 "b";
+  Engine.Timer_wheel.push q ~time:1e-6 "a";
+  let raises time =
+    match Engine.Timer_wheel.push q ~time "bad" with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "nan rejected" true (raises Float.nan);
+  Alcotest.(check bool) "negative rejected" true (raises (-1e-6));
+  Alcotest.(check int) "size" 4 (Engine.Timer_wheel.size q);
+  Alcotest.(check (option (pair (float 0.) string)))
+    "nothing due by 0.5 us" None (tw_pop ~horizon:0.5e-6 q);
+  Alcotest.(check (list string)) "finite first, +inf last"
+    [ "a"; "b"; "huge"; "inf" ]
+    (List.init 4 (fun _ -> snd (tw_pop_exn q)));
+  (* After popping a time beyond any tick the wheel still orders pushes. *)
+  Engine.Timer_wheel.push q ~time:infinity "inf2";
+  Engine.Timer_wheel.push q ~time:infinity "inf3";
+  Alcotest.(check (list string)) "equal +inf times are FIFO" [ "inf2"; "inf3" ]
+    (List.init 2 (fun _ -> snd (tw_pop_exn q)))
+
+(* One step of a random schedule, decoded from three ints.  Offsets are
+   relative to the last popped time (the wheel's contract) and straddle
+   the horizon: ties with now, fractions of a tick (out-of-order times
+   within one tick), a 10 us grid across 0-490 us (dense ties on both
+   sides of the horizon), anywhere up to 4 horizons, and far beyond,
+   +inf included. *)
+type tw_op = Push of float | Pop | Pop_before of float
+
+let decode_offset kind x =
+  let u = float_of_int x /. 1e6 in
+  match kind mod 5 with
+  | 0 -> 0.
+  | 1 -> u *. tick
+  | 2 -> float_of_int (x mod 50) *. 10e-6
+  | 3 -> u *. 4. *. horizon
+  | _ -> if x mod 7 = 0 then infinity else 1. +. u
+
+let decode_op (a, b, c) =
+  match a mod 10 with
+  | 0 | 1 | 2 | 3 | 4 -> Push (decode_offset b c)
+  | 5 | 6 | 7 -> Pop
+  | _ -> Pop_before (decode_offset b c)
+
+let schedule_arb =
+  QCheck.(
+    list_of_size
+      Gen.(0 -- 400)
+      (triple (int_bound 9) (int_bound 4) (int_bound 1_000_000)))
+
+(* The contract as a model: of the pending (time, id) events, kept in
+   push order, the next pop is the head of [List.stable_sort] by time. *)
+let model_next pending =
+  match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) pending with
+  | [] -> None
+  | head :: _ -> Some head
+
+let prop_tw_matches_stable_sort =
+  QCheck.Test.make ~name:"timer wheel matches stable sort" ~count:300
+    schedule_arb (fun schedule ->
+      let q = new_wheel () in
+      let pending = ref [] and now = ref 0. and next_id = ref 0 in
+      let pop_both horizon =
+        let expected =
+          match model_next !pending with
+          | Some (time, id) when time <= horizon ->
+            pending := List.filter (fun (_, i) -> i <> id) !pending;
+            now := time;
+            Some (time, id)
+          | Some _ | None -> None
+        in
+        tw_pop ~horizon q = expected
       in
-      drain (fun () -> Engine.Timer_wheel.pop wheel) []
-      = drain (fun () -> Engine.Event_queue.pop heap) [])
+      let step ok op =
+        ok
+        &&
+        match decode_op op with
+        | Push offset ->
+          let time = !now +. offset and id = !next_id in
+          incr next_id;
+          Engine.Timer_wheel.push q ~time id;
+          pending := !pending @ [ (time, id) ];
+          Engine.Timer_wheel.size q = List.length !pending
+        | Pop -> pop_both infinity
+        | Pop_before offset -> pop_both (!now +. offset)
+      in
+      let rec drain () =
+        if !pending = [] then Engine.Timer_wheel.size q = 0
+        else pop_both infinity && drain ()
+      in
+      List.fold_left step true schedule && drain ())
 
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                *)
@@ -494,6 +485,126 @@ let test_sim_cancel_far_future () =
   Alcotest.(check (list string)) "only the near event fired" [ "near" ] !fired;
   Alcotest.(check int) "cancelled event not counted" 1
     (Engine.Sim.events_fired sim)
+
+let test_sim_non_finite () =
+  (* A nan time or delay is rejected rather than firing first and leaving
+     the clock at nan; +inf is a valid time that fires after every
+     finite one. *)
+  let sim = Engine.Sim.create () in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let nop () = () in
+  Alcotest.(check bool) "nan delay (handle-free)" true
+    (raises (fun () -> Engine.Sim.schedule_after_ sim ~delay:Float.nan nop));
+  Alcotest.(check bool) "nan delay" true
+    (raises (fun () -> ignore (Engine.Sim.schedule_after sim ~delay:Float.nan nop)));
+  Alcotest.(check bool) "nan time (handle-free)" true
+    (raises (fun () -> Engine.Sim.schedule_at_ sim ~time:Float.nan nop));
+  Alcotest.(check bool) "nan time" true
+    (raises (fun () -> ignore (Engine.Sim.schedule_at sim ~time:Float.nan nop)));
+  Alcotest.(check bool) "nan horizon" true
+    (raises (fun () -> ignore (Engine.Sim.advance sim ~until:Float.nan ~budget:1)));
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.Sim.now sim) :: !log in
+  Engine.Sim.schedule_after_ sim ~delay:infinity (note "inf");
+  Engine.Sim.schedule_after_ sim ~delay:1e-3 (note "1ms");
+  Engine.Sim.schedule_after_ sim ~delay:1e-6 (note "1us");
+  Engine.Sim.run ~until:1. sim;
+  Alcotest.(check (list (pair string (float 0.)))) "finite events in order"
+    [ ("1us", 1e-6); ("1ms", 1e-3) ]
+    (List.rev !log);
+  check_float "clock at the horizon" 1. (Engine.Sim.now sim);
+  Engine.Sim.run sim;
+  Alcotest.(check (list string)) "+inf fires last" [ "1us"; "1ms"; "inf" ]
+    (List.rev_map fst !log)
+
+let test_sim_releases_fired_thunks () =
+  (* A fired event's pool slot must not keep its thunk, or whatever the
+     thunk captured, alive. *)
+  let sim = Engine.Sim.create () in
+  let sum = ref 0 in
+  for i = 1 to 200 do
+    let payload = Array.make 1_000 i in
+    Engine.Sim.schedule_at_ sim ~time:(float_of_int i *. 1e-6) (fun () ->
+        sum := !sum + payload.(0))
+  done;
+  Engine.Sim.run sim;
+  Alcotest.(check int) "all fired" (200 * 201 / 2) !sum;
+  let words = Obj.reachable_words (Obj.repr sim) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words reachable, far below the 200,000 captured" words)
+    true (words < 20_000)
+
+(* Sim over a random schedule of handle-free and cancellable events,
+   cancellations and budgeted advances, against a model: each advance
+   pops, in stable-sort order by time, at most [budget] pending events due
+   by its horizon; a cancelled event counts against the budget and moves
+   the clock but does not fire. *)
+let prop_sim_matches_stable_sort =
+  QCheck.Test.make ~name:"sim matches stable sort with cancellations"
+    ~count:300 schedule_arb (fun schedule ->
+      let sim = Engine.Sim.create () in
+      let fired = ref [] and expected = ref [] in
+      let pending = ref [] (* (time, id, cancelled) in push order *)
+      and handles = ref [] and next_id = ref 0 and clock = ref 0. in
+      let model_advance until budget =
+        let rec go left =
+          if left = 0 then false
+          else
+            match
+              List.stable_sort
+                (fun (a, _, _) (b, _, _) -> Float.compare a b)
+                !pending
+            with
+            | (time, id, cancelled) :: _ when time <= until ->
+              pending := List.filter (fun (_, i, _) -> i <> id) !pending;
+              clock := time;
+              if not !cancelled then expected := (id, time) :: !expected;
+              go (left - 1)
+            | _ -> true
+        in
+        let reached = go budget in
+        if reached then clock := Float.max !clock until;
+        reached
+      in
+      let step ok (a, b, c) =
+        ok
+        &&
+        let now = Engine.Sim.now sim in
+        let offset = decode_offset b c in
+        let id = !next_id in
+        let log () = fired := (id, Engine.Sim.now sim) :: !fired in
+        match a mod 10 with
+        | 0 | 1 | 2 ->
+          incr next_id;
+          Engine.Sim.schedule_at_ sim ~time:(now +. offset) log;
+          pending := !pending @ [ (now +. offset, id, ref false) ];
+          true
+        | 3 | 4 | 5 ->
+          incr next_id;
+          let h = Engine.Sim.schedule_at sim ~time:(now +. offset) log in
+          let cancelled = ref false in
+          handles := (h, cancelled) :: !handles;
+          pending := !pending @ [ (now +. offset, id, cancelled) ];
+          true
+        | 6 | 7 -> (
+          match List.nth_opt !handles (c mod 8) with
+          | Some (h, cancelled) ->
+            Engine.Sim.cancel h;
+            cancelled := true;
+            not (Engine.Sim.is_pending h)
+          | None -> true)
+        | _ ->
+          let until = if offset = infinity then now +. 1. else now +. offset in
+          let budget = 1 + (c mod 5) in
+          let reached = Engine.Sim.advance sim ~until ~budget in
+          reached = model_advance until budget && Engine.Sim.now sim = !clock
+      in
+      let ok = List.fold_left step true schedule in
+      ok
+      && (Engine.Sim.run sim;
+          ignore (model_advance infinity max_int);
+          !fired = !expected
+          && Engine.Sim.events_fired sim = List.length !expected))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -932,21 +1043,14 @@ let () =
           Alcotest.test_case "pop" `Quick test_vec_pop;
           Alcotest.test_case "conversions" `Quick test_vec_conversions;
         ] );
-      ( "event_queue",
-        [
-          Alcotest.test_case "ordering" `Quick test_eq_ordering;
-          Alcotest.test_case "FIFO ties" `Quick test_eq_fifo_ties;
-          Alcotest.test_case "peek/size" `Quick test_eq_peek;
-          Alcotest.test_case "interleaved" `Quick test_eq_interleaved;
-          qc prop_eq_sorted;
-        ] );
       ( "timer_wheel",
         [
           Alcotest.test_case "ordering" `Quick test_tw_ordering;
           Alcotest.test_case "same-instant FIFO" `Quick test_tw_same_instant_fifo;
           Alcotest.test_case "far-future overflow" `Quick
             test_tw_far_future_overflow;
-          qc prop_tw_matches_event_queue;
+          Alcotest.test_case "non-finite times" `Quick test_tw_non_finite;
+          qc prop_tw_matches_stable_sort;
         ] );
       ( "sim",
         [
@@ -961,6 +1065,10 @@ let () =
             test_sim_handle_free_fifo;
           Alcotest.test_case "cancel far-future" `Quick
             test_sim_cancel_far_future;
+          Alcotest.test_case "non-finite times" `Quick test_sim_non_finite;
+          Alcotest.test_case "fired thunks released" `Quick
+            test_sim_releases_fired_thunks;
+          qc prop_sim_matches_stable_sort;
         ] );
       ( "stats",
         [

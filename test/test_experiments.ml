@@ -83,6 +83,30 @@ let test_tree_backend_runs () =
   Alcotest.(check bool) "tree backend completes flows" true
     (r.Experiments.Fig4.flows_completed > 0)
 
+(* The first exact per-packet ledger row: minor-heap words per packet-hop
+   on one quick Fig. 4 point, uninstrumented.  The count is deterministic
+   for a given compiler and build profile (it reads about 35 in the dev
+   profile); the hop count comes from a telemetry run of the same
+   deterministic simulation. *)
+let test_minor_words_per_hop () =
+  let params = { Experiments.Fig4.quick with Experiments.Fig4.load = 0.5 } in
+  let scheme = Experiments.Fig4.Qvisor_policy "pfabric >> edf" in
+  let tel = Engine.Telemetry.create () in
+  let counted = Experiments.Fig4.run_exn ~telemetry:tel params scheme in
+  let hops =
+    Engine.Telemetry.Counter.value (Engine.Telemetry.counter tel "net.enqueue")
+  in
+  let w0 = Gc.minor_words () in
+  let r = Experiments.Fig4.run_exn params scheme in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "same simulation" counted.Experiments.Fig4.events_fired
+    r.Experiments.Fig4.events_fired;
+  let per_hop = words /. float_of_int hops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per hop over %d hops (budget 48)" per_hop
+       hops)
+    true (per_hop <= 48.)
+
 let test_run_reports_bad_policy () =
   match
     Experiments.Fig4.run tiny_params
@@ -450,6 +474,8 @@ let () =
           Alcotest.test_case "ideal has no CBR" `Slow test_ideal_has_no_cbr;
           Alcotest.test_case "qvisor tracks ideal" `Slow test_qvisor_tracks_ideal;
           Alcotest.test_case "tree backend" `Slow test_tree_backend_runs;
+          Alcotest.test_case "minor words per hop" `Slow
+            test_minor_words_per_hop;
           Alcotest.test_case "bad policy is an Error" `Quick
             test_run_reports_bad_policy;
         ] );

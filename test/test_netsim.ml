@@ -222,6 +222,85 @@ let test_routing_ecmp_balance () =
     true
     (share 6 > 0.40 && share 6 < 0.60)
 
+(* Back-to-back packets of mixed sizes from host 0 to host 1 over 1 Gb/s
+   links of the given delay, host 0's uplink optionally shaped: each
+   packet's injection index and delivery time, in delivery order. *)
+let wire_run ~delay ?shaper () =
+  let topo = Netsim.Topology.create ~num_hosts:2 ~num_switches:1 in
+  ignore (Netsim.Topology.add_duplex topo ~a:0 ~b:2 ~rate:1e9 ~delay);
+  ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay);
+  let routing = Netsim.Routing.compute topo in
+  let sim = Engine.Sim.create () in
+  let delivered = ref [] in
+  let net =
+    Netsim.Net.create ~sim ~topo ~routing ~make_qdisc:(fifo_ports ~capacity:100)
+      ~shaper_of:(fun l -> if l.Netsim.Topology.id = 0 then shaper else None)
+      ~deliver:(fun p -> delivered := (p, Engine.Sim.now sim) :: !delivered)
+      ()
+  in
+  let sizes = [ 1500; 64; 900; 64; 1500; 300; 1200; 64; 64; 700; 1500; 128 ] in
+  let packets =
+    List.map (fun size -> Sched.Packet.make ~src:0 ~dst:1 ~flow:1 ~size ()) sizes
+  in
+  List.iter (Netsim.Net.inject net) packets;
+  Engine.Sim.run sim;
+  let index p =
+    let rec go i = function
+      | [] -> -1
+      | q :: rest -> if q == p then i else go (i + 1) rest
+    in
+    go 0 packets
+  in
+  List.rev_map (fun (p, time) -> (index p, time)) !delivered
+
+let test_net_wire_order () =
+  (* A link delivers in transmit order at exact store-and-forward times:
+     on a zero-delay link (each arrival coincides with the next packet's
+     start), on a 50 us link (most of the burst on the wire at once), and
+     through a shaped port.  The times are pinned bit for bit. *)
+  let check what expected got =
+    Alcotest.(check (list int)) (what ^ ": transmit order")
+      (List.init (List.length expected) Fun.id)
+      (List.map fst got);
+    List.iter2
+      (fun want (i, time) ->
+        if not (Float.equal want time) then
+          Alcotest.failf "%s: packet %d delivered at %h, want %h" what i time want)
+      expected got
+  in
+  check "zero delay"
+    [
+      0x1.92a737110e454p-16; 0x1.9b3e3d0521b09p-16;
+      0x1.0a05005eb962bp-15; 0x1.0e508358c3185p-15;
+      0x1.72fa511d06a9ap-15; 0x1.871c4711142d1p-15;
+      0x1.d7a41ee14a3aep-15; 0x1.dbefa1db53f08p-15;
+      0x1.e03b24d55da62p-15; 0x1.079a86b213ec7p-14;
+      0x1.39ef6d9435b52p-14; 0x1.3e3af08e3f6acp-14
+    ]
+    (wire_run ~delay:0. ());
+  check "50 us"
+    [
+      0x1.040bfe3b03e21p-13; 0x1.051edef9864f8p-13;
+      0x1.1438577090721p-13; 0x1.154b382f12df8p-13;
+      0x1.2e75aba023c3dp-13; 0x1.337e291d2724bp-13;
+      0x1.47a01f1134a82p-13; 0x1.48b2ffcfb7159p-13;
+      0x1.49c5e08e3983p-13; 0x1.55845ab1ec0fbp-13;
+      0x1.6eaece22fcf4p-13; 0x1.70d48fa001ceep-13
+    ]
+    (wire_run ~delay:50e-6 ());
+  check "shaped"
+    [
+      0x1.b43526527a206p-16; 0x1.bccc2c468d8bap-16;
+      0x1.1acbf7ff6f504p-15; 0x1.1f177af97905ep-15;
+      0x1.8694fc734ffb4p-15; 0x1.9ab6f2675d7ebp-15;
+      0x1.2cfcc97aeeefdp-14; 0x1.2f228af7f3caap-14;
+      0x1.31484c74f8a57p-14; 0x1.50e4045d181a3p-14;
+      0x1.02341563f2f74p-13; 0x1.0459d6e0f7d21p-13
+    ]
+    (wire_run ~delay:1e-6
+       ~shaper:{ Netsim.Net.shaper_rate = 50e6; shaper_burst = 3000. }
+       ())
+
 (* ------------------------------------------------------------------ *)
 (* Shaped ports                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -896,6 +975,7 @@ let () =
           Alcotest.test_case "switch inject rejected" `Quick test_net_inject_from_switch_rejected;
           Alcotest.test_case "pifo ports reorder" `Quick test_net_pifo_ports_reorder;
           Alcotest.test_case "on_dequeue feedback" `Quick test_net_on_dequeue_feedback;
+          Alcotest.test_case "wire keeps transmit order" `Quick test_net_wire_order;
         ] );
       ( "shaper",
         [

@@ -122,21 +122,43 @@ let test_meter_counts () =
     (Float.is_nan (Perf.Meter.alloc_bytes_per_op m));
   for _ = 1 to 10 do
     Perf.Meter.before m;
-    ignore (Sys.opaque_identity (Array.make 1000 0.));
+    ignore (Sys.opaque_identity (Array.make 100 0));
     Perf.Meter.after m
   done;
   Alcotest.(check int) "ops" 10 (Perf.Meter.ops m);
-  let bpe = Perf.Meter.alloc_bytes_per_op m in
-  (* Every bracket allocates ~1000 words; sampling every event must see
-     at least most of it (probe correction can only subtract). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "alloc/op sampled (%.0f B)" bpe)
-    true
-    (bpe > 500. *. Perf.word_bytes);
+  (* Every bracket allocates one 100-field block, header included, on
+     the minor heap; sampling every event sees exactly that. *)
+  Alcotest.(check (float 0.))
+    "alloc/op sampled exactly" (101. *. Perf.word_bytes)
+    (Perf.Meter.alloc_bytes_per_op m);
   (* The disabled meter counts nothing. *)
   Perf.Meter.before Perf.Meter.disabled;
   Perf.Meter.after Perf.Meter.disabled;
   Alcotest.(check int) "disabled ops" 0 (Perf.Meter.ops Perf.Meter.disabled)
+
+(* The probe is exact: [n] small blocks read their bytes, and an empty
+   bracket reads 0 even right after a large (major-heap) allocation and a
+   collection outside it. *)
+let test_meter_exact () =
+  let m = Perf.Meter.create ~sample:1 "exact" in
+  let n = 50 in
+  Perf.Meter.before m;
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (ref i))
+  done;
+  Perf.Meter.after m;
+  Alcotest.(check (float 0.))
+    "n refs" (float_of_int (n * 2) *. Perf.word_bytes)
+    (Perf.Meter.alloc_bytes_per_op m);
+  let empty = Perf.Meter.create ~sample:1 "empty" in
+  for _ = 1 to 8 do
+    ignore (Sys.opaque_identity (Array.make 100_000 0));
+    Gc.minor ();
+    Perf.Meter.before empty;
+    Perf.Meter.after empty
+  done;
+  Alcotest.(check (float 0.))
+    "empty bracket" 0. (Perf.Meter.alloc_bytes_per_op empty)
 
 let test_meters_publish () =
   let ms = Perf.Meters.create () in
@@ -555,6 +577,7 @@ let () =
         [
           Alcotest.test_case "bad sample" `Quick test_meter_bad_sample;
           Alcotest.test_case "counts and sampling" `Quick test_meter_counts;
+          Alcotest.test_case "exact minor words" `Quick test_meter_exact;
           Alcotest.test_case "publish" `Quick test_meters_publish;
         ] );
       ( "gc",
