@@ -339,13 +339,14 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
     churn_bench "pifo/enqueue-dequeue" (fun () ->
         Sched.Bucket_queue.create ~capacity_pkts:256 ())
   in
-  (* The retired Map-based PIFO, kept for the heap-vs-bucket delta. *)
+  (* The Map-based PIFO, for the delta against the default backend. *)
   let bench_pifo_map () =
     churn_bench "pifo-map/enqueue-dequeue" (fun () ->
         Sched.Pifo_queue.create ~capacity_pkts:256 ())
   in
-  (* Bucket-queue stress shapes: a deep queue (where the Map backend's
-     O(log n) bites) and a dense rank space (all FIFO-tie traffic). *)
+  (* Default-backend stress shapes: a deep queue (4,096 packets, where
+     every operation walks a twelve-level heap) and a dense rank space
+     (all FIFO-tie traffic). *)
   let bench_bucket_deep () =
     churn_bench ~prefill:4096 "bucket/enqueue-dequeue-deep" (fun () ->
         Sched.Bucket_queue.create ~capacity_pkts:8192 ())
@@ -353,6 +354,30 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
   let bench_bucket_dense () =
     churn_bench ~rank_hi:63 "bucket/enqueue-dequeue-dense" (fun () ->
         Sched.Bucket_queue.create ~capacity_pkts:256 ())
+  in
+  (* A full deep queue where every arrival evicts the worst packet.  Ranks
+     count down, so each arrival beats everything queued: one op is one
+     insert of a new best rank and one removal of the worst, each a full
+     root-to-leaf walk.  The evicted packet is the next arrival. *)
+  let bench_bucket_evict () =
+    let cap = 8192 in
+    let q = Sched.Bucket_queue.create ~rank_max:max_int ~capacity_pkts:cap () in
+    let next = ref max_int in
+    let arrival = ref (Sched.Packet.make ~flow:1 ~size:1500 ()) in
+    let on_drop p = arrival := p in
+    for _ = 1 to cap do
+      q.Sched.Qdisc.enqueue_drop
+        (Sched.Packet.make ~rank:!next ~flow:1 ~size:1500 ())
+        drop_sink;
+      decr next
+    done;
+    bench "bucket/evict-deep" (fun n ->
+        for _ = 1 to n do
+          let p = !arrival in
+          p.Sched.Packet.rank <- !next;
+          decr next;
+          q.Sched.Qdisc.enqueue_drop p on_drop
+        done)
   in
   let bench_fifo () =
     churn_bench "fifo/enqueue-dequeue" (fun () ->
@@ -595,6 +620,7 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_pifo_map ();
       bench_bucket_deep ();
       bench_bucket_dense ();
+      bench_bucket_evict ();
       bench_fifo ();
       bench_event_loop ();
       bench_event_loop_spread ();

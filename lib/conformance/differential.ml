@@ -21,9 +21,9 @@ let standard_backends () =
       make = mk (fun capacity_pkts -> Qvisor.Deploy.Ideal_pifo { capacity_pkts });
     };
     {
-      (* The retired Map-based PIFO, kept as a second exact backend: every
-         fleet doubles as a heap-vs-bucket differential, so a regression in
-         either implementation shows up as a divergence on this pair. *)
+      (* The Map-based PIFO, kept as a second exact backend: every fleet
+         doubles as a map-vs-heap differential, so a regression in either
+         implementation shows up as a divergence on this pair. *)
       bname = "pifo-map";
       expect_exact = true;
       make =

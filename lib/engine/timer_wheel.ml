@@ -60,8 +60,11 @@ type 'a t = {
   mutable heap_size : int;
 }
 
-(* Branch-free bit scan (see Sched.Bucket_queue for the derivation);
-   a branchy scan mispredicts on every random slot index. *)
+(* Branch-free bit scan: [x land (-x)] isolates the lowest set bit, and
+   the de Bruijn multiply maps each of the 32 single-bit words to a
+   distinct table index (OCaml ints are 63-bit, so the product of a
+   32-bit word cannot overflow).  A branchy scan mispredicts on every
+   random slot index. *)
 let debruijn32 = 0x077CB531
 
 let ntz_table =

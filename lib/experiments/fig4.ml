@@ -198,7 +198,7 @@ let run ?(telemetry = Engine.Telemetry.disabled)
   let transport = Netsim.Transport.create ~sim () in
   let* preprocess, make_qdisc, audit =
     let fifo _ = Sched.Fifo_queue.create ~capacity_pkts:params.queue_capacity_pkts () in
-    (* Exact PIFO semantics from the O(1) bucket-queue core; raw pFabric
+    (* Exact PIFO semantics from the min-max-heap core; raw pFabric
        ranks (flow-size cap / unit bytes) fit the default rank space, and
        anything beyond it is clamped for ordering only. *)
     let pifo _ =

@@ -1,233 +1,232 @@
-(* Eiffel-style bucket queue (Saeed et al., NSDI 2019): one intrusive FIFO
-   per rank over the bounded post-quantization rank space, indexed by a
-   hierarchical find-first-set bitmap.  Enqueue, dequeue and worst-rank
-   eviction are all O(1) modulo a constant number of 32-bit word scans.
+(* An exact PIFO as a min-max heap (Atkinson, Sack, Santoro and
+   Strothotte, CACM 1986) over a pool of [capacity_pkts] packet slots.
 
-   Layout:
-   - [pages]: per-rank doubly-linked FIFO anchors into a slot pool
-     sized [capacity_pkts], bit-packed as [(tail+1) lsl 21 lor (head+1)]
-     ([0] = empty bucket) so an enqueue or dequeue touches a single
-     cache line of anchor state — a random rank in a 16-bit space is a
-     guaranteed cache miss, so one line instead of two is the
-     difference between one stall and two.  The anchors sit in pages of
-     [page_size] ranks, each allocated at the first insert into it: a
-     port only ever sees a few rank ranges, and the full 16-bit space
-     would cost 512 KB per port (a fabric's worth of it dominates a
-     run's live heap).  An occupied bucket's page exists, so only
-     [insert] checks.  Links live in flat int arrays ([nxt]/[prv]);
-     [nxt] doubles as the free-list chain.
-   - [levels]: occupancy bitmaps.  Level 0 has one bit per rank; each
-     higher level has one bit per 32-bit word of the level below, up to
-     a single root word.  Find-first/find-last descend from the root
-     with branch-free de Bruijn scans (OCaml ints are 63-bit, so the
-     64-bit multiply trick applies to 32-bit words without overflow;
-     data-dependent branches would mispredict on every random rank).
+   - [pool]: one cell per slot, written when a packet comes in and reset
+     to the blank (the queue's first packet, kept in the extra last
+     cell) when it leaves.  The heap itself moves ints only: a store
+     into an [int array] needs no write barrier.
+   - [h]: the heap, entry [e] at [h.(3e)], [h.(3e+1)], [h.(3e+2)]:
+     clamped rank, arrival count, pool slot.  Entries order by
+     (rank, arrival), which no two share.  An entry at an even depth (a
+     min level) orders before all its descendants, one at an odd depth
+     (a max level) after them.  [e]'s children are [2e+1] and [2e+2],
+     its grandchildren [4e+3] to [4e+6].
+   - [free]: a stack of the unused slots.
 
-   Semantics replicate Pifo_queue exactly (the conformance oracle's model):
-   serve ascending (rank, uid); when full, an arrival ranked no better than
-   the current worst is tail-dropped, otherwise the worst-ranked most
-   recent arrival is evicted.  Within a rank bucket, arrival order equals
-   uid order, so the bucket head is the (rank, uid) minimum and the tail of
-   the last occupied bucket is the (rank, uid) maximum. *)
+   The helpers are top-level functions of the heap array so that the
+   compiler inlines the small ones; indices stay below the heap size,
+   so the unsafe accesses stay in bounds.  The min and max paths are
+   written out twice: one path taking the level kind as a flag ran
+   10-15% slower. *)
 
-let word_bits = 32
+let[@inline] rank (h : int array) e = Array.unsafe_get h (3 * e)
+let[@inline] seq (h : int array) e = Array.unsafe_get h ((3 * e) + 1)
+let[@inline] slot (h : int array) e = Array.unsafe_get h ((3 * e) + 2)
 
-(* Branch-free bit scans over one 32-bit word.  [x land (-x)] isolates
-   the lowest set bit; the de Bruijn multiply maps each of the 32
-   possible single-bit words to a distinct table index. *)
-let debruijn32 = 0x077CB531
+(* Entry [e] orders before the key [(r, s)]. *)
+let[@inline] before h e r s =
+  let re = rank h e in
+  re < r || (re = r && seq h e < s)
 
-let ntz_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
+(* Entry [a] orders before entry [b]. *)
+let[@inline] precedes h a b = before h a (rank h b) (seq h b)
 
-let ntz32 x = Array.unsafe_get ntz_table ((((x land -x) * debruijn32) lsr 27) land 31)
+let[@inline] set (h : int array) e r s sl =
+  let k = 3 * e in
+  Array.unsafe_set h k r;
+  Array.unsafe_set h (k + 1) s;
+  Array.unsafe_set h (k + 2) sl
 
-let fls32 x =
-  (* Smear the top bit downward, then isolate it and scan. *)
-  let x = x lor (x lsr 1) in
-  let x = x lor (x lsr 2) in
-  let x = x lor (x lsr 4) in
-  let x = x lor (x lsr 8) in
-  let x = x lor (x lsr 16) in
-  let msb = x lxor (x lsr 1) in
-  Array.unsafe_get ntz_table (((msb * debruijn32) lsr 27) land 31)
+let[@inline] move h ~src ~dst = set h dst (rank h src) (seq h src) (slot h src)
 
-(* Anchor packing: a bucket's head and tail slot ids share one int as
-   [(tail+1) lsl anchor_bits lor (head+1)], with [0] meaning empty.
-   Slot ids must therefore fit in [anchor_bits] including the +1 bias. *)
-let anchor_bits = 21
-let anchor_mask = (1 lsl anchor_bits) - 1
+(* [e]'s depth is floor(log2 (e + 1)), and the exponent field of the
+   float [e + 1] is 1023 plus that: a min level has an odd exponent. *)
+let[@inline] on_min_level e =
+  let bits = Int64.bits_of_float (Float.of_int (e + 1)) in
+  Int64.to_int (Int64.shift_right_logical bits 52) land 1 = 1
 
-(* Anchor pages: [page_size] ranks each; [[||]] is a page not yet
-   allocated. *)
-let page_bits = 10
-let page_size = 1 lsl page_bits
-let page_mask = page_size - 1
+(* Place [(r, s, sl)] at the hole [e] or, while it orders before
+   ([up_min]) or after ([up_max]) the grandparent, move the grandparent
+   down into the hole and go on from there. *)
+let rec up_min h e r s sl =
+  let g = (e - 3) / 4 in
+  if e >= 3 && not (before h g r s) then begin
+    move h ~src:g ~dst:e;
+    up_min h g r s sl
+  end
+  else set h e r s sl
+
+let rec up_max h e r s sl =
+  let g = (e - 3) / 4 in
+  if e >= 3 && before h g r s then begin
+    move h ~src:g ~dst:e;
+    up_max h g r s sl
+  end
+  else set h e r s sl
+
+(* Insert [(r, s, sl)] into a heap of [n] entries (the hole is [n]). *)
+let push h n r s sl =
+  if n = 0 then set h 0 r s sl
+  else
+    let p = (n - 1) / 2 in
+    if on_min_level n then
+      if before h p r s then begin
+        move h ~src:p ~dst:n;
+        up_max h p r s sl
+      end
+      else up_min h n r s sl
+    else if before h p r s then up_max h n r s sl
+    else begin
+      move h ~src:p ~dst:n;
+      up_min h p r s sl
+    end
+
+(* The first ([least], for [e] on a min level) or last ([greatest], on
+   a max level) of [e]'s children and grandchildren in a heap of [n]
+   entries; [2e+1 < n].  A child with children of its own orders after
+   them ([least]) or before them ([greatest]), so when all four
+   grandchildren exist the answer is one of them: a two-round
+   tournament of three comparisons. *)
+let[@inline] least h n e =
+  let c = (2 * e) + 1 in
+  let g = (2 * c) + 1 in
+  if g + 3 < n then
+    let a = if precedes h (g + 1) g then g + 1 else g in
+    let b = if precedes h (g + 3) (g + 2) then g + 3 else g + 2 in
+    if precedes h b a then b else a
+  else
+    let m = if c + 1 < n && precedes h (c + 1) c then c + 1 else c in
+    let m = if g < n && precedes h g m then g else m in
+    let m = if g + 1 < n && precedes h (g + 1) m then g + 1 else m in
+    if g + 2 < n && precedes h (g + 2) m then g + 2 else m
+
+let[@inline] greatest h n e =
+  let c = (2 * e) + 1 in
+  let g = (2 * c) + 1 in
+  if g + 3 < n then
+    let a = if precedes h g (g + 1) then g + 1 else g in
+    let b = if precedes h (g + 2) (g + 3) then g + 3 else g + 2 in
+    if precedes h a b then b else a
+  else
+    let m = if c + 1 < n && precedes h c (c + 1) then c + 1 else c in
+    let m = if g < n && precedes h m g then g else m in
+    let m = if g + 1 < n && precedes h m (g + 1) then g + 1 else m in
+    if g + 2 < n && precedes h m (g + 2) then g + 2 else m
+
+(* Sift [(r, s, sl)] down from the hole [e] on a min level ([down_min])
+   or a max level ([down_max]) of a heap of [n] entries.  When the
+   entry moved up is a grandchild, the carried key may belong on the
+   level between: it then trades places with the grandchild's parent,
+   whose key is carried on. *)
+let rec down_min h n e r s sl =
+  if (2 * e) + 1 >= n then set h e r s sl
+  else
+    let m = least h n e in
+    if not (before h m r s) then set h e r s sl
+    else begin
+      move h ~src:m ~dst:e;
+      if m <= (2 * e) + 2 then set h m r s sl
+      else
+        let p = (m - 1) / 2 in
+        if before h p r s then begin
+          let pr = rank h p and ps = seq h p and psl = slot h p in
+          set h p r s sl;
+          down_min h n m pr ps psl
+        end
+        else down_min h n m r s sl
+    end
+
+let rec down_max h n e r s sl =
+  if (2 * e) + 1 >= n then set h e r s sl
+  else
+    let m = greatest h n e in
+    if before h m r s then set h e r s sl
+    else begin
+      move h ~src:m ~dst:e;
+      if m <= (2 * e) + 2 then set h m r s sl
+      else
+        let p = (m - 1) / 2 in
+        if not (before h p r s) then begin
+          let pr = rank h p and ps = seq h p and psl = slot h p in
+          set h p r s sl;
+          down_max h n m pr ps psl
+        end
+        else down_max h n m r s sl
+    end
+
+(* The index of the last entry of a non-empty heap of [n] entries. *)
+let last_index h n =
+  if n <= 2 then n - 1 else if precedes h 1 2 then 2 else 1
 
 let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
   if capacity_pkts <= 0 then invalid_arg "Bucket_queue.create: capacity <= 0";
-  if capacity_pkts > anchor_mask - 1 then
+  if capacity_pkts > (1 lsl 21) - 2 then
     invalid_arg "Bucket_queue.create: capacity > 2^21 - 2 packets";
   if rank_max < 0 then invalid_arg "Bucket_queue.create: rank_max < 0";
-  let nb = rank_max + 1 in
-  let pages = Array.make ((nb + page_mask) lsr page_bits) [||] in
-  let page b = Array.unsafe_get pages (b lsr page_bits) in
-  (* Occupancy bitmaps, level 0 widest, root narrowest (single word). *)
-  let levels =
-    let rec build acc size =
-      let words = (size + word_bits - 1) / word_bits in
-      let acc = Array.make words 0 :: acc in
-      if words = 1 then acc else build acc words
-    in
-    Array.of_list (List.rev (build [] nb))
-  in
-  let num_levels = Array.length levels in
-  (* Bitmap indices derive from clamped ranks (and word indices thereof),
-     so the unsafe accesses stay in bounds; the checks cost real time on
-     the per-packet path. *)
-  let rec set_bit lvl idx =
-    let w = idx lsr 5 and b = idx land 31 in
-    let words = Array.unsafe_get levels lvl in
-    let old = Array.unsafe_get words w in
-    Array.unsafe_set words w (old lor (1 lsl b));
-    if old = 0 && lvl + 1 < num_levels then set_bit (lvl + 1) w
-  in
-  let rec clear_bit lvl idx =
-    let w = idx lsr 5 and b = idx land 31 in
-    let words = Array.unsafe_get levels lvl in
-    let nw = Array.unsafe_get words w land lnot (1 lsl b) in
-    Array.unsafe_set words w nw;
-    if nw = 0 && lvl + 1 < num_levels then clear_bit (lvl + 1) w
-  in
-  (* Lowest / highest occupied rank; caller guarantees non-emptiness. *)
-  let find_first () =
-    let pos = ref 0 in
-    for lvl = num_levels - 1 downto 0 do
-      pos := (!pos lsl 5) lor ntz32 (Array.unsafe_get (Array.unsafe_get levels lvl) !pos)
-    done;
-    !pos
-  in
-  let find_last () =
-    let pos = ref 0 in
-    for lvl = num_levels - 1 downto 0 do
-      pos := (!pos lsl 5) lor fls32 (Array.unsafe_get (Array.unsafe_get levels lvl) !pos)
-    done;
-    !pos
-  in
-  (* Slot pool.  [pool] is filled lazily with the first enqueued packet as
-     the placeholder (allocating a dummy Packet.t would perturb the uid
-     stream the tie-break contract depends on). *)
+  let h = Array.make (3 * capacity_pkts) 0 in
+  let n = ref 0 in
+  (* [pool] is filled lazily with the first enqueued packet as the
+     blank (allocating a dummy Packet.t would perturb the uid stream
+     that tie-breaking elsewhere depends on). *)
   let pool = ref [||] in
-  let nxt = Array.make capacity_pkts (-1) in
-  let prv = Array.make capacity_pkts (-1) in
-  let free = ref 0 in
-  for i = 0 to capacity_pkts - 2 do
-    nxt.(i) <- i + 1
-  done;
-  let count = ref 0 in
+  let free = Array.init capacity_pkts Fun.id in
+  let arrivals = ref 0 in
   let bytes = ref 0 in
   let drops = ref 0 in
   let clamp r = if r < 0 then 0 else if r > rank_max then rank_max else r in
-  let insert p =
-    if Array.length !pool = 0 then pool := Array.make capacity_pkts p;
-    let slot = !free in
-    free := Array.unsafe_get nxt slot;
-    !pool.(slot) <- p;
-    Array.unsafe_set nxt slot (-1);
-    let b = clamp p.Packet.rank in
-    let anchors =
-      let pg = page b in
-      if Array.length pg > 0 then pg
-      else begin
-        let first = b land lnot page_mask in
-        let pg = Array.make (min page_size (nb - first)) 0 in
-        Array.unsafe_set pages (b lsr page_bits) pg;
-        pg
-      end
-    in
-    let i = b land page_mask in
-    let a = Array.unsafe_get anchors i in
-    if a = 0 then begin
-      Array.unsafe_set prv slot (-1);
-      Array.unsafe_set anchors i (((slot + 1) lsl anchor_bits) lor (slot + 1));
-      set_bit 0 b
-    end
-    else begin
-      let t = (a lsr anchor_bits) - 1 in
-      Array.unsafe_set nxt t slot;
-      Array.unsafe_set prv slot t;
-      Array.unsafe_set anchors i (((slot + 1) lsl anchor_bits) lor (a land anchor_mask))
-    end;
-    incr count;
+  let insert_at sl p =
+    Array.unsafe_set !pool sl p;
+    push h !n (clamp p.Packet.rank) !arrivals sl;
+    incr arrivals;
+    incr n;
     bytes := !bytes + p.Packet.size
   in
-  let release slot p =
-    nxt.(slot) <- !free;
-    free := slot;
-    decr count;
-    bytes := !bytes - p.Packet.size
-  in
-  let pop_head b =
-    let anchors = page b and i = b land page_mask in
-    let a = Array.unsafe_get anchors i in
-    let slot = (a land anchor_mask) - 1 in
-    let p = !pool.(slot) in
-    let h' = Array.unsafe_get nxt slot in
-    if h' = -1 then begin
-      Array.unsafe_set anchors i 0;
-      clear_bit 0 b
-    end
-    else begin
-      Array.unsafe_set prv h' (-1);
-      Array.unsafe_set anchors i ((a land lnot anchor_mask) lor (h' + 1))
-    end;
-    release slot p;
-    p
-  in
-  let pop_tail b =
-    let anchors = page b and i = b land page_mask in
-    let a = Array.unsafe_get anchors i in
-    let slot = (a lsr anchor_bits) - 1 in
-    let p = !pool.(slot) in
-    let t' = Array.unsafe_get prv slot in
-    if t' = -1 then begin
-      Array.unsafe_set anchors i 0;
-      clear_bit 0 b
-    end
-    else begin
-      Array.unsafe_set nxt t' (-1);
-      Array.unsafe_set anchors i (((t' + 1) lsl anchor_bits) lor (a land anchor_mask))
-    end;
-    release slot p;
+  (* Take the packet out of slot [sl], which has left the heap. *)
+  let take sl =
+    let pool = !pool in
+    let p = Array.unsafe_get pool sl in
+    Array.unsafe_set pool sl (Array.unsafe_get pool capacity_pkts);
+    Array.unsafe_set free (capacity_pkts - !n - 1) sl;
+    bytes := !bytes - p.Packet.size;
     p
   in
   let enqueue_drop p on_drop =
-    if !count < capacity_pkts then insert p
+    if !n < capacity_pkts then begin
+      if Array.length !pool = 0 then pool := Array.make (capacity_pkts + 1) p;
+      insert_at (Array.unsafe_get free (capacity_pkts - !n - 1)) p
+    end
     else begin
-      let worst = find_last () in
-      if clamp p.Packet.rank >= worst then begin
+      let w = last_index h !n in
+      if clamp p.Packet.rank >= rank h w then begin
         incr drops;
         on_drop p
       end
       else begin
-        let victim = pop_tail worst in
-        insert p;
+        (* Evict the worst entry and hand its slot to the arrival. *)
+        let sl = slot h w in
+        let victim = Array.unsafe_get !pool sl in
+        let last = !n - 1 in
+        n := last;
+        if w < last then down_max h last w (rank h last) (seq h last) (slot h last);
+        bytes := !bytes - victim.Packet.size;
+        insert_at sl p;
         incr drops;
         on_drop victim
       end
     end
   in
-  let dequeue () = if !count = 0 then None else Some (pop_head (find_first ())) in
-  let peek () =
-    if !count = 0 then None
-    else
-      let b = find_first () in
-      Some !pool.((Array.unsafe_get (page b) (b land page_mask) land anchor_mask) - 1)
+  let dequeue () =
+    if !n = 0 then None
+    else begin
+      let sl = slot h 0 in
+      let last = !n - 1 in
+      n := last;
+      if last > 0 then down_min h last 0 (rank h last) (seq h last) (slot h last);
+      Some (take sl)
+    end
   in
+  let peek () = if !n = 0 then None else Some (Array.unsafe_get !pool (slot h 0)) in
   Qdisc.make ~name ~enqueue_drop ~dequeue ~peek
-    ~length:(fun () -> !count)
+    ~length:(fun () -> !n)
     ~bytes:(fun () -> !bytes)
     ~drops:(fun () -> !drops)

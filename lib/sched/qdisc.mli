@@ -31,20 +31,27 @@ type t = {
       (** Remove the packet the discipline schedules next.
 
           {b Equal-rank tie-break contract:} among queued packets the
-          discipline considers equally urgent, service must be in arrival
-          order (FIFO), i.e. by ascending {!Packet.t.uid}.  The
-          conformance oracle relies on this: rank-sorted disciplines break
-          rank ties by uid, and bank/bucket disciplines must use FIFO
-          queues internally.
+          discipline considers equally urgent, service is FIFO.  Two
+          orders go by that name, and they differ on a multi-hop
+          fabric, where packets reach a port out of uid order:
+          - port arrival: the order packets were enqueued into this
+            discipline.  [Bucket_queue], [Pifo_tree] and the
+            FIFO-based disciplines below break ties this way, and so
+            does the conformance oracle (its arrival id).
+          - ascending {!Packet.t.uid}, the order packets were created:
+            [Pifo_queue] breaks ties this way.
 
-          Audit (PR 3, verified by [test_conformance] and fuzzed by
+          The two agree wherever packets are enqueued in uid order, as
+          in every conformance scenario.  Which order is the contract is
+          not settled yet.
+
+          Audit (verified by [test_conformance] and fuzzed by
           [qvisor-cli conformance]):
-          - [Pifo_queue]: orders by [(rank, uid)] — conformant, and the
-            reference the oracle mirrors.
-          - [Bucket_queue]: FFS-indexed per-rank FIFO buckets, so ties
-            serve in arrival order by construction — conformant, exact
-            (fuzzed against the oracle like [Pifo_queue]).
-          - [Pifo_tree]: per-node FIFO sequencing — conformant.
+          - [Pifo_queue]: orders by [(rank, uid)] — exact where arrival
+            and uid orders agree.
+          - [Bucket_queue]: a min-max heap keyed by [(rank, arrival)] —
+            exact, fuzzed against [Pifo_queue] and the oracle.
+          - [Pifo_tree]: per-node arrival sequencing — conformant.
           - [Fifo_queue], [Sp_bank], [Drr_bank], [Aifo]: FIFO within each
             internal queue — conformant among packets mapped to the same
             queue (cross-queue order is the approximation, not a tie).

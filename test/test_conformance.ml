@@ -83,7 +83,7 @@ let replay_ideal sc =
 
 let test_oracle_matches_pifo_200_cases () =
   (* The committed self-consistency claim: on 200 seeded cases the oracle
-     and the production exact backend (the FFS bucket queue, via
+     and the production exact backend (the min-max-heap PIFO, via
      [Deploy.Ideal_pifo]) agree byte-for-byte (served order and drop
      decisions). *)
   for seed = 0 to 199 do

@@ -162,7 +162,7 @@ let prop_pifo_bounded_keeps_best =
       List.sort compare kept = expected)
 
 (* ------------------------------------------------------------------ *)
-(* Bucket queue (the O(1) exact PIFO)                                 *)
+(* Bucket queue (the min-max-heap exact PIFO)                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_bucket_rank_order () =
@@ -232,15 +232,50 @@ let test_bucket_accounting () =
   ignore (q.Sched.Qdisc.dequeue ());
   Alcotest.(check int) "bytes after dequeue" 200 (q.Sched.Qdisc.bytes ())
 
-let test_bucket_fresh_footprint () =
-  (* Anchor pages are allocated on first use: a fresh queue over the
-     default 16-bit rank space holds its occupancy bitmaps and slot
-     links, not 64K anchors. *)
-  let q = Sched.Bucket_queue.create ~capacity_pkts:100 () in
-  let words = Obj.reachable_words (Obj.repr q) in
+let test_bucket_arrival_ties () =
+  (* Equal ranks arrive in descending uid order, as packets can reach a
+     fabric port: they serve in arrival order, and a full queue evicts
+     the worst rank's latest arrival, not its highest uid. *)
+  Sched.Packet.reset_uid_counter 0;
+  let ps = List.rev (List.init 5 (fun _ -> mk ~rank:4 ())) in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:10 () in
+  List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
+  Alcotest.(check (list int)) "arrival order among equal ranks" (uids_of ps)
+    (uids_of (Sched.Qdisc.drain q));
+  let worst = List.rev (List.init 3 (fun _ -> mk ~rank:9 ())) in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:3 () in
+  List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) worst;
+  let dropped = q.Sched.Qdisc.enqueue (mk ~rank:1 ()) in
+  Alcotest.(check (list int)) "latest arrival of the worst rank evicted"
+    [ (List.nth worst 2).Sched.Packet.uid ]
+    (uids_of dropped)
+
+let test_bucket_drained_footprint () =
+  (* A port's footprint returns to its fresh size after draining, however
+     many ranks it has seen: a queue that saw the whole 16-bit space, its
+     extremes and out-of-range ranks reads the same reachable words as
+     one that saw a single rank, a small multiple of its capacity. *)
+  let cap = 100 in
+  let drained ranks =
+    let q = Sched.Bucket_queue.create ~capacity_pkts:cap () in
+    List.iter
+      (fun rank ->
+        ignore (q.Sched.Qdisc.enqueue (mk ~rank ()));
+        if q.Sched.Qdisc.length () = cap then ignore (Sched.Qdisc.drain q))
+      ranks;
+    ignore (Sched.Qdisc.drain q);
+    Obj.reachable_words (Obj.repr q)
+  in
+  let swept =
+    drained
+      ([ 0; 65535; -1; 65536; min_int; max_int ]
+      @ List.init 4096 (fun i -> (i * 7919) land 65535))
+  in
+  let one = drained [ 7 ] in
+  Alcotest.(check int) "same words as a queue that saw one rank" one swept;
   Alcotest.(check bool)
-    (Printf.sprintf "%d reachable words < 8192" words)
-    true (words < 8192)
+    (Printf.sprintf "%d reachable words <= 8 x capacity" swept)
+    true (swept <= 8 * cap)
 
 (* One (rank_max, capacity, op list) ~ one scenario: enqueue a rank, or
    dequeue.  Ranks are mostly dense (ties and evictions) with some at
@@ -862,8 +897,9 @@ let () =
             test_bucket_equal_rank_full_drops_arrival;
           Alcotest.test_case "rank clamping" `Quick test_bucket_rank_clamping;
           Alcotest.test_case "accounting" `Quick test_bucket_accounting;
-          Alcotest.test_case "fresh footprint" `Quick
-            test_bucket_fresh_footprint;
+          Alcotest.test_case "arrival ties" `Quick test_bucket_arrival_ties;
+          Alcotest.test_case "drained footprint" `Quick
+            test_bucket_drained_footprint;
           qc prop_bucket_matches_pifo_map;
         ] );
       ( "sp_bank",
