@@ -157,14 +157,14 @@ module Meter = struct
 
   let name t = t.m_name
 
-  let before t =
+  let[@inline] before t =
     if t.m_enabled then begin
       t.m_ops <- t.m_ops + 1;
       if t.m_ops land t.m_mask = 0 then
         t.m_pending <- int_of_float (Gc.minor_words ())
     end
 
-  let after t =
+  let[@inline] after t =
     if t.m_enabled && t.m_pending <> min_int then begin
       let words = int_of_float (Gc.minor_words ()) - t.m_pending in
       t.m_pending <- min_int;

@@ -1,18 +1,30 @@
 (* Splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators" (OOPSLA 2014).  State is a single 64-bit counter advanced by
-   the golden gamma; output is a finalizing hash of the state. *)
+   the golden gamma; output is a finalizing hash of the state.
 
-type t = { mutable state : int64 }
+   The counter lives in an 8-byte buffer read and written with the unboxed
+   [Bytes] int64 primitives, and [mix] and [bits64] inline into every
+   draw, so [int], [int_range] and [bool] allocate nothing (a mutable
+   [int64] field would box on every store).  [float] inlines into its
+   callers too, so its result is not boxed either where it is compared or
+   used at once. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let create ~seed = of_state (mix (Int64.of_int seed))
 
 let derive ~seed index =
   if index < 0 then invalid_arg "Rng.derive: negative index";
@@ -22,17 +34,16 @@ let derive ~seed index =
   in
   to_int (shift_right_logical z 2)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix state
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let split t = of_state (mix (bits64 t))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let float t =
+let[@inline] float t =
   (* 53 high bits -> uniform in [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

@@ -34,12 +34,12 @@ let past t time =
 
 let bad_delay () = invalid_arg "Sim.schedule_after: negative or nan delay"
 
-let schedule_at_ t ~time f =
+let[@inline] schedule_at_ t ~time f =
   if not (time >= t.clock) then past t time;
   Timer_wheel.push t.queue ~time f
 
 (* [now +. delay >= now] holds for every [delay >= 0.]. *)
-let schedule_after_ t ~delay f =
+let[@inline] schedule_after_ t ~delay f =
   if not (delay >= 0.) then bad_delay ();
   Timer_wheel.push t.queue ~time:(t.clock +. delay) f
 

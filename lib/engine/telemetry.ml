@@ -79,7 +79,7 @@ module Histogram = struct
 
   (* [m] has five slots and [index] stays within [0, over], so the
      per-hop path skips the bounds checks. *)
-  let observe t x =
+  let[@inline] observe t x =
     let m = t.m in
     let n = Array.unsafe_get m 0 +. 1. in
     Array.unsafe_set m 0 n;

@@ -130,7 +130,6 @@ type flight = {
   recorders : Engine.Recorder.t array;
   triggers : Engine.Recorder.Trigger.t array;
   on_anomaly : link_id:int -> Engine.Recorder.t -> unit;
-  mutable anomalies : int;
 }
 
 type t = {
@@ -287,7 +286,6 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
                   ~threshold:cfg.drop_threshold ~cooldown:cfg.trigger_cooldown
                   ());
           on_anomaly;
-          anomalies = 0;
         }
   in
   {
@@ -539,10 +537,7 @@ and enqueue t port p =
     if
       Engine.Recorder.Trigger.observe fl.triggers.(link_id)
         ~dropped:t.dropped_any
-    then begin
-      fl.anomalies <- fl.anomalies + 1;
-      fl.on_anomaly ~link_id fl.recorders.(link_id)
-    end);
+    then fl.on_anomaly ~link_id fl.recorders.(link_id));
   (match t.ins with
   | None -> ()
   | Some ins ->
@@ -590,14 +585,6 @@ let inject t p =
   | Topology.Host -> ()
   | Topology.Switch -> invalid_arg "Net.inject: src is not a host");
   forward t src p
-
-let port_recorder t ~link_id =
-  match t.flight with
-  | None -> None
-  | Some fl -> Some fl.recorders.(link_id)
-
-let anomalies_fired t =
-  match t.flight with None -> 0 | Some fl -> fl.anomalies
 
 let total_drops t =
   Array.fold_left (fun acc port -> acc + port.qdisc.Sched.Qdisc.drops ()) 0 t.ports

@@ -124,12 +124,6 @@ val inject : t -> Sched.Packet.t -> unit
 (** A host hands a packet to its NIC: the packet is routed onto the host's
     uplink queue.  The packet's [src] must be a host. *)
 
-val port_recorder : t -> link_id:int -> Engine.Recorder.t option
-(** The port's flight-recorder ring ([None] when [flight] is off). *)
-
-val anomalies_fired : t -> int
-(** Drop-rate anomalies fired across all ports so far. *)
-
 val total_drops : t -> int
 (** Packets dropped across all ports so far. *)
 

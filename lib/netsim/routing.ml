@@ -63,7 +63,7 @@ let candidates t ~node ~dst =
     invalid_arg "Routing.candidates: dst is not a host";
   Array.to_list t.candidates.(node).(dst)
 
-let next_link t ~node ~dst ~flow =
+let[@inline] next_link t ~node ~dst ~flow =
   if dst < 0 || dst >= Topology.num_hosts t.topo then
     invalid_arg "Routing.next_link: dst is not a host";
   if node = dst then invalid_arg "Routing.next_link: already at destination";

@@ -43,6 +43,62 @@ let test_rng_copy () =
   let b = Engine.Rng.copy a in
   check_float "copy continues identically" (Engine.Rng.float a) (Engine.Rng.float b)
 
+(* The first draws of two seeds, recorded from the boxed-[int64]
+   implementation: a change of the state's representation must keep every
+   stream bit for bit. *)
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, ints, floats, split_ints, after) ->
+      let r = Engine.Rng.create ~seed in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      List.iter
+        (fun want -> Alcotest.(check int) (name "int") want (Engine.Rng.int r))
+        ints;
+      List.iter
+        (fun want ->
+          Alcotest.(check (float 0.)) (name "float") want (Engine.Rng.float r))
+        floats;
+      let child = Engine.Rng.split r in
+      List.iter
+        (fun want ->
+          Alcotest.(check int) (name "split int") want (Engine.Rng.int child))
+        split_ints;
+      Alcotest.(check int) (name "int after split") after (Engine.Rng.int r))
+    [
+      ( 1,
+        [ 3457603482011350492; 1717361541646166673 ],
+        [ 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1 ],
+        [ 949687826934003247; 32005062392279094 ],
+        2747494643000335897 );
+      ( 42,
+        [ 2749113066540076570; 739554815828047797 ],
+        [ 0x1.54c85f31d00d8p-3; 0x1.896d649de031p-5 ],
+        [ 1670432612978786612; 3442499342175544181 ],
+        1084310982420964528 );
+    ]
+
+(* Draws allocate nothing: the state is updated in place, unboxed.
+   [float]'s result is unboxed here because it inlines into its caller,
+   which needs a build without -opaque (the default profile). *)
+let test_rng_draws_allocate_nothing () =
+  let r = Engine.Rng.create ~seed:5 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.)) name 0. (words f))
+    [
+      ("int", fun () -> ignore (Engine.Rng.int r));
+      ("int_range", fun () -> ignore (Engine.Rng.int_range r ~lo:0 ~hi:99));
+      ("bool", fun () -> ignore (Engine.Rng.bool r));
+      (* Compared, as the trace sink uses it: [ignore] would box it. *)
+      ("float", fun () -> ignore (Engine.Rng.float r < 0.5));
+    ]
+
 let test_rng_float_bounds () =
   let r = Engine.Rng.create ~seed:11 in
   for _ = 1 to 10_000 do
@@ -1018,6 +1074,9 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "float mean" `Quick test_rng_float_mean;
           Alcotest.test_case "int_range coverage" `Quick test_rng_int_range;

@@ -85,9 +85,12 @@ let test_tree_backend_runs () =
 
 (* The first exact per-packet ledger row: minor-heap words per packet-hop
    on one quick Fig. 4 point, uninstrumented.  The count is deterministic
-   for a given compiler and build profile (it reads about 35 in the dev
-   profile); the hop count comes from a telemetry run of the same
-   deterministic simulation. *)
+   for a given compiler and build profile: 20.31 in the default profile
+   on OCaml 5.1.  The budget leaves under two words of margin, so one
+   more boxed float per hop (2 words) fails it, and so does a build with
+   dev's -opaque (28.55), where no call across modules inlines.  The hop
+   count comes from a telemetry run of the same deterministic
+   simulation. *)
 let test_minor_words_per_hop () =
   let params = { Experiments.Fig4.quick with Experiments.Fig4.load = 0.5 } in
   let scheme = Experiments.Fig4.Qvisor_policy "pfabric >> edf" in
@@ -103,9 +106,9 @@ let test_minor_words_per_hop () =
     r.Experiments.Fig4.events_fired;
   let per_hop = words /. float_of_int hops in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per hop over %d hops (budget 48)" per_hop
+    (Printf.sprintf "%.2f minor words per hop over %d hops (budget 22)" per_hop
        hops)
-    true (per_hop <= 48.)
+    true (per_hop <= 22.)
 
 let test_run_reports_bad_policy () =
   match
