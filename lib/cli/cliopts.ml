@@ -129,16 +129,14 @@ let instruments ~telemetry_doc ~trace_doc ?metrics_out_doc () =
 (* Graceful shutdown                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let default_signals = [ Sys.sigint; Sys.sigterm ]
-
-let on_signal ?(signals = default_signals) f =
+let on_signal f =
   List.iter
     (fun signo ->
       (* Some signals cannot be trapped on some platforms; a CLI that
          merely loses graceful shutdown should still start. *)
       try ignore (Sys.signal signo (Sys.Signal_handle f))
       with Sys_error _ | Invalid_argument _ -> ())
-    signals
+    [ Sys.sigint; Sys.sigterm ]
 
 let cleanups : (unit -> unit) list ref = ref []
 
@@ -160,8 +158,8 @@ let exit_status_of_signal signo =
   | Some n -> 128 + n
   | None -> if signo > 0 then 128 + signo else 1
 
-let exit_on_signal ?signals () =
-  on_signal ?signals (fun signo ->
+let exit_on_signal () =
+  on_signal (fun signo ->
       run_cleanups ();
       (* [Stdlib.exit], not [Unix._exit]: at_exit handlers run, so open
          channels (NDJSON sinks, --metrics-out files) flush instead of

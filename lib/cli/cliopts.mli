@@ -84,7 +84,9 @@ module Run : sig
       [registry]; the final sink is attached to it with [seed] (default
       0), so a single-registry run traces into it directly.  Part trace
       files are deleted at exit, including an exit through the
-      SIGINT/SIGTERM handler this installs ({!exit_on_signal}).
+      SIGINT/SIGTERM handler this installs, which runs the
+      {!at_signal_exit} cleanups and exits with
+      {!exit_status_of_signal}.
       [tenant_names] label the exposition. *)
 
   val registry : t -> Engine.Telemetry.t
@@ -132,24 +134,17 @@ val exit_on_error : ('a, string) result -> 'a
     exit through [Stdlib.exit], so [at_exit]-registered channel flushes
     still happen. *)
 
-val on_signal : ?signals:int list -> (int -> unit) -> unit
-(** Install [f] as the handler for each signal (default
-    [[Sys.sigint; Sys.sigterm]]).  Signals that cannot be trapped on the
-    platform are skipped silently. *)
+val on_signal : (int -> unit) -> unit
+(** Install [f] as the handler for [SIGINT] and [SIGTERM].  A signal
+    that cannot be trapped on the platform is skipped silently. *)
 
 val at_signal_exit : (unit -> unit) -> unit
 (** Register a cleanup (flush a sink, finalize a metrics file) to run —
-    LIFO, exceptions swallowed — when {!exit_on_signal}'s handler
-    fires. *)
+    LIFO, exceptions swallowed — when the handler that {!Run.create}
+    installs fires. *)
 
 val exit_status_of_signal : int -> int
 (** The shell's status for a death by [signo]: 128 plus the POSIX number
     ([Sys.sigint] gives 130, [Sys.sigterm] 143) for HUP, INT, QUIT,
     ABRT, KILL, ALRM and TERM; 128 plus [signo] for a positive system
     number; 1 otherwise. *)
-
-val exit_on_signal : ?signals:int list -> unit -> unit
-(** Install a terminating handler: on delivery it runs every
-    {!at_signal_exit} cleanup and calls [Stdlib.exit] with
-    {!exit_status_of_signal}, which also runs [at_exit] handlers and
-    flushes open channels. *)

@@ -14,10 +14,6 @@ let of_string = function
       (Printf.sprintf "unknown fault %S (expected %s)" s
          (String.concat " | " (List.map to_string all)))
 
-let describe = function
-  | Lifo_ties -> "equal-rank packets served in reverse arrival order"
-  | Drop_newest -> "full queue always tail-drops, never evicts the worst"
-
 (* A PIFO over an explicit key function, sharing Pifo_queue's shape but
    parameterized so each fault is a one-line deviation. *)
 module Key = struct

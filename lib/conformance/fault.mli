@@ -22,8 +22,6 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-val describe : t -> string
-
 val qdisc : t -> capacity_pkts:int -> Sched.Qdisc.t
 (** A PIFO-shaped discipline carrying the fault; name
     ["fault:<to_string>"]. *)

@@ -52,8 +52,6 @@ type data = {
   annotations : annotation list;
 }
 
-val data_of_json : Engine.Json.t -> (data, string) result
-
 val data_of_body : string -> (data, string) result
 (** Parse + decode one [/query] response body. *)
 
@@ -63,22 +61,6 @@ val fetch :
     [query] is the already-encoded query string (may be [""]). *)
 
 val find_series : data -> string -> series option
-
-val values : series -> float option array
-(** Per-bucket scalar view of a series: a counter bucket becomes a rate
-    ([sum /. step] per second), a gauge bucket its [last] sample. *)
-
-val latest : float option array -> float option
-(** The newest non-empty bucket's value. *)
-
-val sparkline : ?width:int -> float option array -> string
-(** Unicode block sparkline (▁▂▃▄▅▆▇█) scaled to the array's own max;
-    empty buckets render as spaces.  When [width] (default [24]) is
-    smaller than the array, only the newest [width] buckets are drawn. *)
-
-val health_badge : ?color:bool -> string -> string
-(** [● healthy] / [◐ degraded] / [✖ violating], ANSI-colored when
-    [color] (green / yellow / red). *)
 
 val render_top : ?color:bool -> data -> string
 (** One dashboard frame: a header line (sim time, uptime, series count,

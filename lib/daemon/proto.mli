@@ -63,11 +63,7 @@ type outcome = (reply, Qvisor.Error.t) result
 
 val request_to_json : request -> Engine.Json.t
 
-val request_of_json : Engine.Json.t -> (request, Qvisor.Error.t) result
-
 val outcome_to_json : outcome -> Engine.Json.t
-
-val outcome_of_json : Engine.Json.t -> (outcome, Qvisor.Error.t) result
 
 val request_line : request -> string
 (** [request_to_json] serialized with the trailing newline — exactly the

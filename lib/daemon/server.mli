@@ -116,9 +116,6 @@ val metrics_body : t -> string
     ([qvisor_epoch], [qvisor_daemon_draining],
     [qvisor_remediations_total]), and the scrape timestamp. *)
 
-val healthz_body : t -> string * bool
-(** Body and liveness verdict ([false] once any tenant is violating). *)
-
 val query_body :
   t -> (string * string) list -> (string, string) result
 (** The [GET /query] JSON document for decoded query parameters:
@@ -145,8 +142,5 @@ val snapshot : t -> unit
 
 val tsdb : t -> Engine.Tsdb.t
 (** The daemon's retention store. *)
-
-val uptime_seconds : t -> float
-(** Wall-clock seconds since {!create}. *)
 
 val sim_time : t -> float

@@ -131,9 +131,7 @@ let split_dotted ?(tenant_names = []) dotted =
   let parts, labels = walk [] [] components in
   (String.concat "_" parts, labels)
 
-let base_name ?(namespace = "qvisor") dotted_head =
-  if namespace = "" then dotted_head
-  else sanitize_name namespace ^ "_" ^ dotted_head
+let base_name dotted_head = "qvisor_" ^ dotted_head
 
 let with_total name =
   if String.length name >= 6 && String.sub name (String.length name - 6) 6 = "_total"
@@ -181,11 +179,11 @@ let generalize dotted =
 
 let quantile_labels = [ 0.5; 0.9; 0.99 ]
 
-let families_of_registry ?namespace ?tenant_names tel =
+let families_of_registry ?tenant_names tel =
   let b = builder () in
   let collapse dotted =
     let head, labels = split_dotted ?tenant_names dotted in
-    (base_name ?namespace head, labels)
+    (base_name head, labels)
   in
   List.iter
     (fun (dotted, v) ->
@@ -273,19 +271,17 @@ let render_families families =
    test clocks): clamp to the highest value handed out so far. *)
 let last_scrape_stamp = ref neg_infinity
 
-let scrape_timestamp_family ?namespace ?(now = Unix.gettimeofday) () =
-  let stamp = Float.max !last_scrape_stamp (now ()) in
+let scrape_timestamp_family () =
+  let stamp = Float.max !last_scrape_stamp (Unix.gettimeofday ()) in
   last_scrape_stamp := stamp;
-  let name = base_name ?namespace "scrape_timestamp_seconds" in
+  let name = base_name "scrape_timestamp_seconds" in
   family ~name ~help:"wall-clock time of this render (monotonic per process)"
     Gauge
     [ { sample_name = name; labels = []; value = stamp } ]
 
-let render ?namespace ?tenant_names ?(extra = []) ?now tel =
+let render ?tenant_names tel =
   render_families
-    (families_of_registry ?namespace ?tenant_names tel
-    @ extra
-    @ [ scrape_timestamp_family ?namespace ?now () ])
+    (families_of_registry ?tenant_names tel @ [ scrape_timestamp_family () ])
 
 (* ------------------------------------------------------------------ *)
 (* Strict parser                                                      *)

@@ -29,9 +29,6 @@
 
 type mtype = Counter | Gauge | Summary
 
-val mtype_to_string : mtype -> string
-(** ["counter"], ["gauge"], ["summary"]. *)
-
 type sample = {
   sample_name : string;  (** full sample name, e.g. [foo_sum] *)
   labels : (string * string) list;  (** raw (unescaped) label pairs *)
@@ -54,11 +51,6 @@ val escape_label_value : string -> string
 (** Escape backslash, double-quote and newline for use inside a
     [label="value"] pair. *)
 
-val string_of_value : float -> string
-(** Canonical sample-value rendering: ["NaN"], ["+Inf"], ["-Inf"],
-    integers without a fractional part, everything else [%.17g] (enough
-    digits to round-trip through [float_of_string]). *)
-
 val family :
   name:string -> help:string -> mtype -> sample list -> family
 (** Build a family after validating [name] and every sample name against
@@ -68,13 +60,11 @@ val family :
     @raise Invalid_argument on any invalid identifier. *)
 
 val families_of_registry :
-  ?namespace:string ->
   ?tenant_names:(int * string) list ->
   Telemetry.t ->
   family list
 (** Every metric of the registry as exposition families, sorted by family
-    name.  [namespace] (default ["qvisor"]) prefixes every family;
-    [tenant_names] maps the numeric component after a [tenant] path
+    name and prefixed [qvisor_].  [tenant_names] maps the numeric component after a [tenant] path
     element to a human name.  Counters become [counter] families
     ([_total] suffix), gauges become [gauge] families, histograms become
     [summary] families.  Dotted names that collapse to
@@ -89,23 +79,15 @@ val render_families : family list -> string
     [# EOF] line (so even an empty list renders a parseable, non-empty,
     visibly-complete document — a truncated scrape is detectable). *)
 
-val scrape_timestamp_family : ?namespace:string -> ?now:(unit -> float) -> unit -> family
-(** A one-sample gauge family [<namespace>_scrape_timestamp_seconds]
-    carrying [now ()] (default [Unix.gettimeofday]) clamped to be
+val scrape_timestamp_family : unit -> family
+(** A one-sample gauge family [qvisor_scrape_timestamp_seconds]
+    carrying [Unix.gettimeofday ()] clamped to be
     monotonically non-decreasing across the whole process, so consecutive
     scrapes can be ordered even through wall-clock steps. *)
 
-val render :
-  ?namespace:string ->
-  ?tenant_names:(int * string) list ->
-  ?extra:family list ->
-  ?now:(unit -> float) ->
-  Telemetry.t ->
-  string
-(** [render_families (families_of_registry tel @ extra @ [stamp])], with
-    [extra] families (SLO objectives, health states…) appended after the
-    registry families and a {!scrape_timestamp_family} (driven by [now])
-    always last. *)
+val render : ?tenant_names:(int * string) list -> Telemetry.t -> string
+(** [render_families (families_of_registry tel @ [stamp])], with a
+    {!scrape_timestamp_family} last. *)
 
 (** {1 Strict parser (tests / [--validate])} *)
 

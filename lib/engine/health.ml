@@ -7,16 +7,9 @@ let state_to_string = function
   | Degraded -> "degraded"
   | Violating -> "violating"
 
-let signal_to_string = function
-  | Pass -> "pass"
-  | Warn -> "warn"
-  | Breach -> "breach"
-
-let pp_state ppf s = Format.pp_print_string ppf (state_to_string s)
-
-type config = { degraded_strikes : int; violating_strikes : int }
-
-let default_config = { degraded_strikes = 2; violating_strikes = 4 }
+(* Strike thresholds: [Degraded] from two, [Violating] from four. *)
+let degraded_strikes = 2
+let violating_strikes = 4
 
 type subject = {
   name : string;
@@ -35,28 +28,23 @@ type transition = {
 }
 
 type t = {
-  config : config;
   alerts : out_channel option;
   on_transition : (transition -> unit) option;
   subjects : (int, subject) Hashtbl.t;
   mutable transitions : int;
 }
 
-let create ?(config = default_config) ?alerts ?on_transition () =
-  if config.degraded_strikes <= 0 then
-    invalid_arg "Health.create: degraded_strikes <= 0";
-  if config.violating_strikes <= config.degraded_strikes then
-    invalid_arg "Health.create: violating_strikes <= degraded_strikes";
-  { config; alerts; on_transition; subjects = Hashtbl.create 8; transitions = 0 }
+let create ?alerts ?on_transition () =
+  { alerts; on_transition; subjects = Hashtbl.create 8; transitions = 0 }
 
 let watch t ~id ~name =
   Hashtbl.replace t.subjects id { name; strikes = 0; current = Healthy }
 
 let unwatch t ~id = Hashtbl.remove t.subjects id
 
-let state_of_strikes t strikes =
-  if strikes >= t.config.violating_strikes then Violating
-  else if strikes >= t.config.degraded_strikes then Degraded
+let state_of_strikes strikes =
+  if strikes >= violating_strikes then Violating
+  else if strikes >= degraded_strikes then Degraded
   else Healthy
 
 let emit_alert t ~id ~time ~source ~detail subject ~from ~to_ =
@@ -103,7 +91,7 @@ let observe t ~id ~time ?(source = "health") ?(detail = "") signal =
     | Pass -> s.strikes <- max 0 (s.strikes - 1)
     | Warn -> s.strikes <- s.strikes + 1
     | Breach -> s.strikes <- s.strikes + 2);
-    let next = state_of_strikes t s.strikes in
+    let next = state_of_strikes s.strikes in
     if next <> s.current then begin
       let from = s.current in
       s.current <- next;
@@ -114,9 +102,6 @@ let state t ~id =
   match Hashtbl.find_opt t.subjects id with
   | None -> Healthy
   | Some s -> s.current
-
-let strikes t ~id =
-  match Hashtbl.find_opt t.subjects id with None -> 0 | Some s -> s.strikes
 
 let states t =
   Hashtbl.fold (fun id s acc -> (id, s.name, s.current) :: acc) t.subjects []

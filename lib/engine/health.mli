@@ -10,11 +10,10 @@
     - [Warn] adds one strike;
     - [Breach] adds two strikes;
 
-    and the state is derived from the strikes: [Healthy] below
-    [degraded_strikes], [Degraded] from there up to [violating_strikes],
-    [Violating] beyond.  Because a single [Warn] only reaches one strike
-    and a [Pass] immediately clears it, alternating [Pass]/[Warn] windows
-    can never flap the state — a subject has to be {e persistently} dirty
+    and the state is derived from the strikes: [Healthy] below two,
+    [Degraded] at two or three, [Violating] from four.  Because a single
+    [Warn] only reaches one strike and a [Pass] immediately clears it,
+    alternating [Pass]/[Warn] windows can never flap the state — a subject has to be {e persistently} dirty
     to move, and persistently clean to recover.
 
     Every state {e transition} is emitted as one NDJSON line on the
@@ -33,19 +32,6 @@ type signal = Pass | Warn | Breach
 val state_to_string : state -> string
 (** ["healthy"], ["degraded"], ["violating"]. *)
 
-val signal_to_string : signal -> string
-(** ["pass"], ["warn"], ["breach"]. *)
-
-val pp_state : Format.formatter -> state -> unit
-
-type config = {
-  degraded_strikes : int;  (** enter [Degraded] at this many strikes *)
-  violating_strikes : int;  (** enter [Violating] at this many strikes *)
-}
-
-val default_config : config
-(** [{degraded_strikes = 2; violating_strikes = 4}]. *)
-
 type transition = {
   tr_id : int;
   tr_name : string;
@@ -60,7 +46,6 @@ type transition = {
 type t
 
 val create :
-  ?config:config ->
   ?alerts:out_channel ->
   ?on_transition:(transition -> unit) ->
   unit ->
@@ -70,9 +55,7 @@ val create :
     flushed after every line, so a crashing run still leaves its alerts
     behind.  [on_transition] (default: none) is invoked synchronously on
     every transition, before the alert line is written — the daemon uses
-    it to annotate its retention store ({!Tsdb}).
-    @raise Invalid_argument unless [0 < degraded_strikes <
-    violating_strikes]. *)
+    it to annotate its retention store ({!Tsdb}). *)
 
 val watch : t -> id:int -> name:string -> unit
 (** Start tracking a subject ([Healthy], zero strikes).  Re-watching an
@@ -99,8 +82,6 @@ val observe :
 
 val state : t -> id:int -> state
 (** [Healthy] for unwatched ids. *)
-
-val strikes : t -> id:int -> int
 
 val states : t -> (int * string * state) list
 (** Every watched subject, sorted by id. *)

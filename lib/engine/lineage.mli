@@ -23,8 +23,6 @@ val lineage :
     a packet, by time — stably, so same-timestamp stages keep their
     recorded order (preprocess before enqueue). *)
 
-val pp_event : Format.formatter -> Recorder.event -> unit
-
 val pp_lineage : Format.formatter -> Recorder.event list -> unit
 (** Group by packet uid and print each packet's journey:
     {v

@@ -98,10 +98,6 @@ let[@inline] record t ~time ~kind ~uid ~link ~tenant ~flow ~rank_before ~rank =
     t.seen <- t.seen + 1
   end
 
-let clear t =
-  t.next <- 0;
-  t.seen <- 0
-
 let to_list t =
   let cap = Array.length t.times in
   let n = length t in

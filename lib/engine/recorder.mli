@@ -73,8 +73,6 @@ val record :
     the ring stores plain unboxed columns.  Pass [-1] for fields that do
     not apply (see {!event} for their meaning). *)
 
-val clear : t -> unit
-
 val to_list : t -> event list
 (** Held events, oldest first. *)
 

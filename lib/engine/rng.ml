@@ -66,11 +66,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t in
   -.mean *. log u
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: bad parameters";
-  let u = 1.0 -. float t in
-  scale /. (u ** (1.0 /. shape))
-
 let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int_range t ~lo:0 ~hi:(Array.length a - 1))

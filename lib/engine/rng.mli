@@ -26,9 +26,6 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing [t]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)
 
@@ -48,9 +45,6 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean.  Requires
     [mean > 0.]. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto draw: [scale] is the minimum value, [shape] the tail index. *)
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

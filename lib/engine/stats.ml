@@ -41,8 +41,6 @@ let mean t = if t.n = 0 then nan else t.mean
 
 let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t = t.minv
 
 let max t = t.maxv

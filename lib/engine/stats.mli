@@ -21,8 +21,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two observations. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** [nan] when empty. *)
 

@@ -30,11 +30,13 @@
 
 let nil = -1
 
+(* A tick is 2^-24 s (~60 ns).  2^12 slots keep the slot anchors
+   L2-resident; the near horizon is then 2^-12 s. *)
+let inv_tick = 0x1p24 (* 1/tick: a multiply replaces a division per push *)
+let num_slots = 4096
+let mask = num_slots - 1
+
 type 'a t = {
-  tick : float;
-  inv_tick : float; (* 1/tick: a multiply replaces a division per push *)
-  num_slots : int;
-  mask : int;
   heads : int array; (* slot -> first event of its list, [nil] if empty *)
   tails : int array;
   levels : int array array; (* hierarchical slot-occupancy bitmaps *)
@@ -77,11 +79,7 @@ let ntz32 x = Array.unsafe_get ntz_table ((((x land -x) * debruijn32) lsr 27) la
 
 let initial_capacity = 64
 
-let create ?(tick = 0x1p-24) ?(slots_pow2 = 12) ~empty () =
-  if not (tick > 0.) then invalid_arg "Timer_wheel.create: tick <= 0";
-  if slots_pow2 < 5 || slots_pow2 > 24 then
-    invalid_arg "Timer_wheel.create: slots_pow2 outside [5, 24]";
-  let num_slots = 1 lsl slots_pow2 in
+let create ~empty () =
   let levels =
     let rec build acc size =
       let words = (size + 31) / 32 in
@@ -92,10 +90,6 @@ let create ?(tick = 0x1p-24) ?(slots_pow2 = 12) ~empty () =
   in
   let cap = initial_capacity in
   {
-    tick;
-    inv_tick = 1. /. tick;
-    num_slots;
-    mask = num_slots - 1;
     heads = Array.make num_slots nil;
     tails = Array.make num_slots nil;
     levels;
@@ -186,12 +180,12 @@ let rec ascend t lvl idx =
 (* Earliest occupied slot in tick order (circular from base), -1 if none. *)
 let first_slot t =
   if t.wheel_count = 0 then -1
-  else if t.cached_tick >= 0 then t.cached_tick land t.mask
+  else if t.cached_tick >= 0 then t.cached_tick land mask
   else begin
-    let s_base = t.base land t.mask in
+    let s_base = t.base land mask in
     let s = ascend t 0 s_base in
     let s = if s >= 0 then s else ascend t 0 0 in
-    t.cached_tick <- t.base + ((s - s_base) land t.mask);
+    t.cached_tick <- t.base + ((s - s_base) land mask);
     s
   end
 
@@ -224,8 +218,8 @@ let rec sift_down t i j =
     end
     else Array.unsafe_set t.heap j i
 
-(* Tick arithmetic stays exact below this many ticks (2^53 ticks of the
-   default tick is ~17 years of virtual time). *)
+(* Tick arithmetic stays exact below this many ticks (2^53 ticks of 2^-24 s
+   is ~17 years of virtual time). *)
 let max_tick = 0x1p53
 
 (* Remove the overflow head; [base] moves to its tick when it has one. *)
@@ -234,7 +228,7 @@ let heap_pop t =
   let n = t.heap_size - 1 in
   t.heap_size <- n;
   if n > 0 then sift_down t (Array.unsafe_get t.heap n) 0;
-  let x = Float.Array.unsafe_get t.times i *. t.inv_tick in
+  let x = Float.Array.unsafe_get t.times i *. inv_tick in
   if x < max_tick then begin
     let k = int_of_float x in
     if k > t.base then t.base <- k
@@ -254,7 +248,7 @@ let rec insert_after t s i time prev =
   end
 
 let push_wheel t i time k =
-  let s = k land t.mask in
+  let s = k land mask in
   let tl = Array.unsafe_get t.tails s in
   if tl = nil then begin
     Array.unsafe_set t.links i nil;
@@ -300,8 +294,8 @@ let push t ~time payload =
      never invert cross-tick order (and is exact for power-of-two ticks).
      The comparison also sends +inf and every time too large for
      [int_of_float] to the heap. *)
-  let x = time *. t.inv_tick in
-  if x >= float_of_int (t.base + t.num_slots) then begin
+  let x = time *. inv_tick in
+  if x >= float_of_int (t.base + num_slots) then begin
     sift_up t i t.heap_size;
     t.heap_size <- t.heap_size + 1
   end
@@ -319,8 +313,8 @@ let pop_wheel t s =
     t.cached_tick <- -1
   end;
   t.wheel_count <- t.wheel_count - 1;
-  let s_base = t.base land t.mask in
-  t.base <- t.base + ((s - s_base) land t.mask);
+  let s_base = t.base land mask in
+  t.base <- t.base + ((s - s_base) land mask);
   i
 
 (* One head lookup decides both "is it due?" and "remove it". *)

@@ -1,9 +1,8 @@
 (** Timer-wheel event queue: the simulation's one event queue.
 
-    Virtual times quantize to integer ticks (default [2^-24] s ≈ 59.6 ns —
-    a power of two so tick arithmetic is exact float scaling); events
-    within the wheel's horizon ([2^slots_pow2] ticks, ~244 µs at the
-    defaults) get O(1) push and near-O(1) pop via a hierarchical
+    Virtual times quantize to integer ticks ([2^-24] s ≈ 59.6 ns — a
+    power of two so tick arithmetic is exact float scaling); events
+    within the wheel's horizon ([2^12] ticks, ~244 µs) get O(1) push and near-O(1) pop via a hierarchical
     find-first-set bitmap over the slots, while farther events, +inf
     included, overflow to a binary heap and are merged back by a
     head-to-head comparison at pop time.  Quantization never reorders:
@@ -19,13 +18,10 @@
 
 type 'a t
 
-val create : ?tick:float -> ?slots_pow2:int -> empty:'a -> unit -> 'a t
-(** [tick] is the quantization step in seconds (default [2^-24]);
-    [slots_pow2] the log2 slot count (default [12], keeping the slot
-    anchors L2-resident).  [empty] is what a free pool cell holds in
-    place of a payload; it should keep nothing alive.
-    @raise Invalid_argument if [tick] is not positive or [slots_pow2] is
-    outside [\[5, 24\]]. *)
+val create : empty:'a -> unit -> 'a t
+(** A wheel of [2^12] slots of [2^-24] s each (the slot anchors stay
+    L2-resident).  [empty] is what a free pool cell holds in place of a
+    payload; it should keep nothing alive. *)
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Insert an event to fire at [time].  Times must not precede the last

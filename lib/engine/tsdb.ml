@@ -56,10 +56,8 @@ type t = {
   mutable ann_total : int;
 }
 
-let create ?(tiers = default_tiers) ?(annotation_capacity = 256) () =
+let create ?(tiers = default_tiers) () =
   if tiers = [] then invalid_arg "Tsdb.create: no tiers";
-  if annotation_capacity <= 0 then
-    invalid_arg "Tsdb.create: annotation_capacity <= 0";
   List.iter
     (fun (tr : tier) ->
       if tr.resolution <= 0. || not (Float.is_finite tr.resolution) then
@@ -83,7 +81,7 @@ let create ?(tiers = default_tiers) ?(annotation_capacity = 256) () =
     by_name = Hashtbl.create 64;
     series_order = [];
     max_time = 0.;
-    ann = Array.make annotation_capacity None;
+    ann = Array.make 256 None;
     ann_next = 0;
     ann_total = 0;
   }

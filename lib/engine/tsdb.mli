@@ -44,19 +44,15 @@ type tier = {
   slots : int;  (** ring length; retention = [resolution *. slots] *)
 }
 
-val default_tiers : tier list
-(** [1 s x 120] (2 min raw), [10 s x 180] (30 min), [60 s x 240] (4 h):
-    25 920 bytes of ring per series (see {!memory_bytes}). *)
-
 type t
 
-val create : ?tiers:tier list -> ?annotation_capacity:int -> unit -> t
-(** [tiers] (default {!default_tiers}) must be ordered finest first with
-    strictly increasing resolutions and non-decreasing retentions;
-    [annotation_capacity] (default [256]) bounds the annotation ring.
-    @raise Invalid_argument on an empty/ill-ordered tier list, a
-    non-positive resolution or slot count, or a non-positive
-    annotation capacity. *)
+val create : ?tiers:tier list -> unit -> t
+(** [tiers] (default: 1 s x 120, 10 s x 180 and 60 s x 240, 25 920
+    bytes of ring per series) must be ordered finest first with
+    strictly increasing resolutions and non-decreasing retentions.  The
+    annotation ring holds the newest 256 annotations.
+    @raise Invalid_argument on an empty/ill-ordered tier list, or a
+    non-positive resolution or slot count. *)
 
 type series
 (** A handle into one named series — intern once, observe on the hot

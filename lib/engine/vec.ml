@@ -4,8 +4,6 @@ let create () = { data = [||]; size = 0 }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let add_last t x =
   if t.size = Array.length t.data then begin
     let ncap = max 8 (2 * Array.length t.data) in
@@ -23,43 +21,9 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
-let pop_last t =
-  if t.size = 0 then None
-  else begin
-    t.size <- t.size - 1;
-    Some t.data.(t.size)
-  end
-
 let iter f t =
   for i = 0 to t.size - 1 do
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_array t = Array.sub t.data 0 t.size
-
-let to_list t = Array.to_list (to_array t)
-
-let of_list l =
-  let t = create () in
-  List.iter (add_last t) l;
-  t
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -7,29 +7,11 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val add_last : 'a t -> 'a -> unit
 
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument on out-of-bounds access. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** @raise Invalid_argument on out-of-bounds access. *)
-
-val pop_last : 'a t -> 'a option
-(** Remove and return the most recently added element. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
 val to_array : 'a t -> 'a array
-
-val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
-
-val clear : 'a t -> unit

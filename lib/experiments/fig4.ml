@@ -171,12 +171,59 @@ let offered_rate params (tn : Qvisor.Tenant.t) =
 (* Simulated seconds between SLO evaluations. *)
 let slo_interval = 0.01
 
+(* Every field with the bounds its consumer enforces (topology, queues,
+   workload, transport, rankers, synthesizer), checked before any work so
+   a bad value is a typed error rather than an exception deep in a run. *)
+let validate p =
+  let int name v ~lo ~hi =
+    if v >= lo && v <= hi then None
+    else if hi = max_int then Some (Printf.sprintf "%s = %d, must be >= %d" name v lo)
+    else Some (Printf.sprintf "%s = %d, must be in [%d, %d]" name v lo hi)
+  in
+  let float name v ~positive =
+    if Float.is_finite v && if positive then v > 0. else v >= 0. then None
+    else
+      Some
+        (Printf.sprintf "%s = %g, must be finite and %s" name v
+           (if positive then "> 0" else ">= 0"))
+  in
+  let fields =
+    [
+      int "leaves" p.leaves ~lo:1 ~hi:max_int;
+      int "spines" p.spines ~lo:1 ~hi:max_int;
+      int "hosts_per_leaf" p.hosts_per_leaf ~lo:1 ~hi:max_int;
+      int "leaves x hosts_per_leaf" (p.leaves * p.hosts_per_leaf) ~lo:2
+        ~hi:max_int;
+      float "access_rate" p.access_rate ~positive:true;
+      float "fabric_rate" p.fabric_rate ~positive:true;
+      float "link_delay" p.link_delay ~positive:false;
+      int "queue_capacity_pkts" p.queue_capacity_pkts ~lo:1
+        ~hi:((1 lsl 21) - 2);
+      float "load" p.load ~positive:true;
+      int "cbr_flows" p.cbr_flows ~lo:1 ~hi:max_int;
+      float "cbr_rate" p.cbr_rate ~positive:true;
+      float "cbr_deadline" p.cbr_deadline ~positive:true;
+      float "duration" p.duration ~positive:false;
+      float "warmup" p.warmup ~positive:false;
+      float "drain" p.drain ~positive:false;
+      int "pfabric_unit_bytes" p.pfabric_unit_bytes ~lo:1 ~hi:max_int;
+      float "edf_unit_seconds" p.edf_unit_seconds ~positive:true;
+      int "window" p.window ~lo:1 ~hi:max_int;
+      float "rto" p.rto ~positive:true;
+      Option.bind p.levels (int "levels" ~lo:1 ~hi:max_int);
+    ]
+  in
+  match List.find_map Fun.id fields with
+  | None -> Ok ()
+  | Some msg -> Error (Qvisor.Error.Config msg)
+
 let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) ?flight ?on_anomaly ?(slo = false)
     ?alerts ?(on_tick = fun (_ : float) -> ()) ?(perf = true) params scheme =
+  let ( let* ) = Result.bind in
+  let* () = validate params in
   Engine.Span.with_ profiler ~name:"fig4.run" @@ fun () ->
   Sched.Packet.reset_uid_counter 0;
-  let ( let* ) = Result.bind in
   let num_hosts = params.leaves * params.hosts_per_leaf in
   let topo, routing =
     Engine.Span.with_ profiler ~name:"fig4.topology" @@ fun () -> fabric params
@@ -409,8 +456,8 @@ let run ?(telemetry = Engine.Telemetry.disabled)
       slo = slo_report;
     }
 
-let run_exn ?telemetry ?profiler params scheme =
-  match run ?telemetry ?profiler params scheme with
+let run_exn ?profiler params scheme =
+  match run ?profiler params scheme with
   | Ok r -> r
   | Error e -> invalid_arg ("Fig4.run: " ^ Qvisor.Error.to_string e)
 
@@ -460,9 +507,8 @@ let run_jobs ?jobs ?(telemetry_for = fun (_ : job) -> Engine.Telemetry.disabled)
   in
   collect [] outcomes
 
-let sweep ?jobs ?telemetry_for ?profiler_for ?on_start ?slo params ~loads
-    ~schemes =
-  run_jobs ?jobs ?telemetry_for ?profiler_for ?on_start ?slo params
+let sweep ?jobs ?on_start ?slo params ~loads ~schemes =
+  run_jobs ?jobs ?on_start ?slo params
     (jobs_of_grid params ~loads ~schemes)
 
 let paper_loads = [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]

@@ -109,6 +109,16 @@ type result = {
   slo : slo_report option;  (** present iff the run audited SLOs *)
 }
 
+val validate : params -> (unit, Qvisor.Error.t) Stdlib.result
+(** Check every field against the bounds its consumer enforces: positive
+    fabric dimensions with at least two hosts, finite positive rates,
+    deadlines, units, load and RTO, finite non-negative link delay,
+    duration, warmup and drain (a zero-length run builds the fabric and
+    stops), a queue capacity in [\[1, 2^21 - 2\]], at
+    least one CBR flow, a positive window and, when given, at least one
+    quantization level.  The [Config] error names the first bad field
+    ([<field> = <value>, must be ...]).  {!run} starts with this check. *)
+
 val run :
   ?telemetry:Engine.Telemetry.t ->
   ?profiler:Engine.Span.t ->
@@ -159,13 +169,9 @@ val run :
     QVISOR configuration is invalid — never by raising, so a run can
     execute on a worker domain. *)
 
-val run_exn :
-  ?telemetry:Engine.Telemetry.t ->
-  ?profiler:Engine.Span.t ->
-  params ->
-  scheme ->
-  result
-(** @raise Invalid_argument on configuration errors. *)
+val run_exn : ?profiler:Engine.Span.t -> params -> scheme -> result
+(** {!run} without telemetry.
+    @raise Invalid_argument on configuration errors. *)
 
 type job = {
   index : int;  (** position in the serial (load-major) grid order *)
@@ -207,23 +213,16 @@ val run_jobs :
 
 val sweep :
   ?jobs:int ->
-  ?telemetry_for:(job -> Engine.Telemetry.t) ->
-  ?profiler_for:(job -> Engine.Span.t) ->
   ?on_start:(job -> unit) ->
   ?slo:bool ->
   params ->
   loads:float list ->
   schemes:scheme list ->
   (result list, Qvisor.Error.t) Stdlib.result
-(** [run_jobs] over [jobs_of_grid]. *)
+(** [run_jobs] over [jobs_of_grid], with telemetry and profiling off. *)
 
 val paper_loads : float list
 (** 0.2 .. 0.8, the x-axis of Fig. 4. *)
-
-val print_panel :
-  Format.formatter -> title:string -> pick:(result -> float) -> result list -> unit
-(** Render one Fig. 4 panel: rows = loads, columns = schemes, cells from
-    [pick]. *)
 
 val print_fig4 : Format.formatter -> result list -> unit
 (** Both panels (small-flow and large-flow mean FCTs) plus a

@@ -13,9 +13,6 @@ val create : unit -> t
 
 val record : t -> Transport.flow_result -> unit
 
-val fct_stats : t -> bucket -> Engine.Stats.t
-(** FCTs (seconds) of completed flows in a bucket. *)
-
 val overall : t -> Engine.Stats.t
 
 val completed : t -> int

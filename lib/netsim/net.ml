@@ -589,8 +589,6 @@ let inject t p =
 let total_drops t =
   Array.fold_left (fun acc port -> acc + port.qdisc.Sched.Qdisc.drops ()) 0 t.ports
 
-let port_qdisc t ~link_id = t.ports.(link_id).qdisc
-
 let queued_packets t =
   Array.fold_left (fun acc port -> acc + port.qdisc.Sched.Qdisc.length ()) 0 t.ports
 

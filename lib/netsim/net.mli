@@ -127,10 +127,6 @@ val inject : t -> Sched.Packet.t -> unit
 val total_drops : t -> int
 (** Packets dropped across all ports so far. *)
 
-val port_qdisc : t -> link_id:int -> Sched.Qdisc.t
-(** The queue discipline serving a given link's output port (for tests
-    and instrumentation). *)
-
 val queued_packets : t -> int
 (** Packets currently sitting in any port queue. *)
 

@@ -79,7 +79,3 @@ let leaf_spine ~leaves ~spines ~hosts_per_leaf ~access_rate ~fabric_rate
     done
   done;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "topology(hosts=%d switches=%d links=%d)" t.num_hosts
-    t.num_switches (num_links t)

@@ -56,5 +56,3 @@ val leaf_spine :
 
 val leaf_of_host : leaves:int -> hosts_per_leaf:int -> int -> int
 (** Node id of the leaf switch serving a host in a {!leaf_spine} fabric. *)
-
-val pp : Format.formatter -> t -> unit

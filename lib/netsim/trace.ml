@@ -110,7 +110,7 @@ let synthesize ~rng ~dist ~num_hosts ~load ~access_rate ~tenant ~until =
   in
   go 0. []
 
-let replay ~sim ~transport ~ranker_of_tenant ?window ?rto ~on_complete specs =
+let replay ~sim ~transport ~ranker_of_tenant ~on_complete specs =
   List.iter
     (fun f ->
       ignore
@@ -118,5 +118,5 @@ let replay ~sim ~transport ~ranker_of_tenant ?window ?rto ~on_complete specs =
              ignore
                (Transport.start_flow transport ~tenant:f.tenant
                   ~ranker:(ranker_of_tenant f.tenant) ~src:f.src ~dst:f.dst
-                  ~size:f.size ?window ?rto ~on_complete ()))))
+                  ~size:f.size ~on_complete ()))))
     specs

@@ -41,11 +41,10 @@ val replay :
   sim:Engine.Sim.t ->
   transport:Transport.t ->
   ranker_of_tenant:(int -> Sched.Ranker.t) ->
-  ?window:int ->
-  ?rto:float ->
   on_complete:(Transport.flow_result -> unit) ->
   flow_spec list ->
   unit
-(** Schedule every flow of the trace on the simulator.  Flows whose
+(** Schedule every flow of the trace on the simulator, with
+    {!Transport.start_flow}'s default window and RTO.  Flows whose
     [start] is in the simulated past are rejected by the engine, so
     replay before running the simulation. *)

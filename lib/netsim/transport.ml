@@ -187,12 +187,14 @@ and fill t f =
   end;
   arm_rto t f
 
+(* Payload bytes per data packet: an Ethernet MTU's worth. *)
+let mtu_payload = 1460
+
 let start_flow t ~tenant ~ranker ~src ~dst ~size ?(window = 12) ?(rto = 1e-3)
-    ?(mtu_payload = 1460) ?(deadline = infinity) ~on_complete () =
+    ?(deadline = infinity) ~on_complete () =
   if size <= 0 then invalid_arg "Transport.start_flow: size <= 0";
   if window <= 0 then invalid_arg "Transport.start_flow: window <= 0";
   if rto <= 0. then invalid_arg "Transport.start_flow: rto <= 0";
-  if mtu_payload <= 0 then invalid_arg "Transport.start_flow: mtu <= 0";
   if src = dst then invalid_arg "Transport.start_flow: src = dst";
   let id = fresh_flow_id t in
   let nseg = num_segments ~size ~mtu:mtu_payload in
@@ -301,10 +303,9 @@ let receive_ack t f (p : Sched.Packet.t) =
 (* CBR transport                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let start_cbr t ~tenant ~ranker ~src ~dst ~rate ?(mtu_payload = 1460)
-    ?(deadline_budget = 1e-3) ?jitter ~until () =
+let start_cbr t ~tenant ~ranker ~src ~dst ~rate ?(deadline_budget = 1e-3)
+    ?jitter ~until () =
   if rate <= 0. then invalid_arg "Transport.start_cbr: rate <= 0";
-  if mtu_payload <= 0 then invalid_arg "Transport.start_cbr: mtu <= 0";
   if deadline_budget <= 0. then invalid_arg "Transport.start_cbr: budget <= 0";
   if src = dst then invalid_arg "Transport.start_cbr: src = dst";
   let id = fresh_flow_id t in

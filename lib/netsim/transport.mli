@@ -47,15 +47,14 @@ val start_flow :
   size:int ->
   ?window:int ->
   ?rto:float ->
-  ?mtu_payload:int ->
   ?deadline:float ->
   on_complete:(flow_result -> unit) ->
   unit ->
   int
 (** Start a windowed flow of [size] payload bytes now; returns the flow id.
     [window] is the unacknowledged-packet budget (default 12), [rto] the
-    retransmission timeout (default 1 ms), [mtu_payload] the payload bytes
-    per packet (default 1460).  [deadline], if given, is stamped on every
+    retransmission timeout (default 1 ms); a packet carries 1460 payload
+    bytes.  [deadline], if given, is stamped on every
     packet (absolute time) for deadline-aware rankers.
     @raise Invalid_argument on non-positive [size] or bad parameters. *)
 
@@ -73,14 +72,13 @@ val start_cbr :
   src:int ->
   dst:int ->
   rate:float ->
-  ?mtu_payload:int ->
   ?deadline_budget:float ->
   ?jitter:Engine.Rng.t ->
   until:float ->
   unit ->
   cbr_stats
-(** Start a CBR stream of [rate] bits/s from now until absolute time
-    [until].  Each packet carries deadline [now + deadline_budget]
+(** Start a CBR stream of [rate] bits/s of 1460-byte payloads from now
+    until absolute time [until].  Each packet carries deadline [now + deadline_budget]
     (default 1 ms).  With [jitter], packet gaps are exponentially
     distributed with the same mean (a Poisson stream of the same rate),
     which avoids phase-locking artifacts between synchronized senders. *)

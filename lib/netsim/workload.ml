@@ -65,64 +65,18 @@ let poisson_open_loop ~sim ~rng ~transport ~tenant ~ranker ~num_hosts ~load
   next_arrival ();
   acc
 
-let incast ~sim ~rng ~transport ~tenant ~ranker ~num_hosts ~fanin
-    ~bytes_per_sender ?window ?rto ?receiver ~at ~on_complete () =
-  if fanin < 1 || fanin + 1 > num_hosts then
-    invalid_arg "Workload.incast: fanin out of range";
-  if bytes_per_sender <= 0 then invalid_arg "Workload.incast: bytes <= 0";
-  let receiver =
-    match receiver with
-    | Some r ->
-      if r < 0 || r >= num_hosts then invalid_arg "Workload.incast: receiver";
-      r
-    | None -> Engine.Rng.int_range rng ~lo:0 ~hi:(num_hosts - 1)
-  in
-  (* Pick [fanin] distinct senders != receiver. *)
-  let candidates =
-    Array.of_list
-      (List.filter (fun h -> h <> receiver) (List.init num_hosts Fun.id))
-  in
-  Engine.Rng.shuffle rng candidates;
-  let senders = Array.sub candidates 0 fanin in
-  Engine.Sim.schedule_at_ sim ~time:at (fun () ->
-      Array.iter
-        (fun src ->
-          ignore
-            (Transport.start_flow transport ~tenant ~ranker ~src ~dst:receiver
-               ~size:bytes_per_sender ?window ?rto ~on_complete ()))
-        senders)
-
-let permutation ~sim ~rng ~transport ~tenant ~ranker ~num_hosts
-    ~bytes_per_flow ?window ?rto ~at ~on_complete () =
-  if num_hosts < 2 then invalid_arg "Workload.permutation: < 2 hosts";
-  if bytes_per_flow <= 0 then invalid_arg "Workload.permutation: bytes <= 0";
-  let targets = Array.init num_hosts Fun.id in
-  Engine.Rng.shuffle rng targets;
-  Engine.Sim.schedule_at_ sim ~time:at (fun () ->
-      Array.iteri
-        (fun src dst ->
-          if src <> dst then
-            ignore
-              (Transport.start_flow transport ~tenant ~ranker ~src ~dst
-                 ~size:bytes_per_flow ?window ?rto ~on_complete ()))
-        targets)
-
 let cbr_tenant ~sim ~rng ~transport ~tenant ~ranker ~num_hosts ~flows ~rate
-    ?(deadline_budget = 1e-3) ?(budget_spread = 0.5) ?(jitter = true) ~until
-    () =
+    ?(deadline_budget = 1e-3) ~until () =
   if num_hosts < 2 then invalid_arg "Workload.cbr_tenant: < 2 hosts";
   if flows <= 0 then invalid_arg "Workload.cbr_tenant: flows <= 0";
-  if budget_spread < 0. || budget_spread >= 1. then
-    invalid_arg "Workload.cbr_tenant: budget_spread outside [0,1)";
   let _ = sim in
   List.init flows (fun _ ->
       let src, dst = Engine.Rng.pair_distinct rng ~n:num_hosts in
       let budget =
         Engine.Rng.float_range rng
-          ~lo:(deadline_budget *. (1. -. budget_spread))
-          ~hi:(deadline_budget *. (1. +. budget_spread))
+          ~lo:(deadline_budget *. 0.5) ~hi:(deadline_budget *. 1.5)
       in
       Transport.start_cbr transport ~tenant ~ranker ~src ~dst ~rate
         ~deadline_budget:budget
-        ?jitter:(if jitter then Some (Engine.Rng.split rng) else None)
+        ~jitter:(Engine.Rng.split rng)
         ~until ())

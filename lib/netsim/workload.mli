@@ -51,47 +51,6 @@ val poisson_open_loop :
     sized from [dist].  Stops creating flows at [until]; flows in flight
     keep running.  Requires [num_hosts >= 2] and [0 < load]. *)
 
-val incast :
-  sim:Engine.Sim.t ->
-  rng:Engine.Rng.t ->
-  transport:Transport.t ->
-  tenant:int ->
-  ranker:Sched.Ranker.t ->
-  num_hosts:int ->
-  fanin:int ->
-  bytes_per_sender:int ->
-  ?window:int ->
-  ?rto:float ->
-  ?receiver:int ->
-  at:float ->
-  on_complete:(Transport.flow_result -> unit) ->
-  unit ->
-  unit
-(** Schedule an incast at absolute time [at]: [fanin] distinct senders
-    each start a flow of [bytes_per_sender] to a common receiver
-    simultaneously — the classic partition/aggregate pattern that
-    stresses the receiver's access queue.  Requires
-    [2 <= fanin + 1 <= num_hosts]. *)
-
-val permutation :
-  sim:Engine.Sim.t ->
-  rng:Engine.Rng.t ->
-  transport:Transport.t ->
-  tenant:int ->
-  ranker:Sched.Ranker.t ->
-  num_hosts:int ->
-  bytes_per_flow:int ->
-  ?window:int ->
-  ?rto:float ->
-  at:float ->
-  on_complete:(Transport.flow_result -> unit) ->
-  unit ->
-  unit
-(** Schedule a random permutation traffic matrix at time [at]: every host
-    sends one flow to a distinct peer (a derangement-free random
-    permutation with self-loops skipped), the standard fabric stress
-    test. *)
-
 val cbr_tenant :
   sim:Engine.Sim.t ->
   rng:Engine.Rng.t ->
@@ -102,16 +61,12 @@ val cbr_tenant :
   flows:int ->
   rate:float ->
   ?deadline_budget:float ->
-  ?budget_spread:float ->
-  ?jitter:bool ->
   until:float ->
   unit ->
   Transport.cbr_stats list
 (** Start [flows] CBR streams at [rate] bits/s each, between uniformly
     random distinct host pairs, with per-packet deadlines — the paper's
     second tenant (100 flows at 0.5 Gb/s).  Each stream's budget is drawn
-    uniformly from [deadline_budget * (1 ± budget_spread)]
-    ([budget_spread] defaults to 0.5) so the EDF rank function actually
-    discriminates between flows; a spread of 0 gives every stream the
-    same budget.  [jitter] (default true) uses Poisson packet gaps to
-    avoid phase locking. *)
+    uniformly from [deadline_budget * (1 ± 0.5)] so the EDF rank function
+    actually discriminates between flows, and its packet gaps are Poisson
+    to avoid phase locking. *)

@@ -47,9 +47,6 @@ type report = {
 val effective_band : Synthesizer.plan -> Tenant.t -> int * int
 (** Worst-case transformed rank interval of a tenant's traffic. *)
 
-val group_band : Synthesizer.plan -> group -> int * int
-(** Union interval of the members' effective bands. *)
-
 val relation_between : Synthesizer.plan -> Tenant.t -> Tenant.t -> relation
 (** Worst-case relation between two individual tenants. *)
 

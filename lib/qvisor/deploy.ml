@@ -127,59 +127,52 @@ let guarantees ~plan backend =
     Tiered (num_queues - n_tiers + 1)
   | Sp_pifo _ | Aifo _ | Drr_bank _ | Calendar _ -> Approximate
 
-let pifo_tree_of_policy ~tenants ~policy ~capacity_pkts ?(prefer_decay = 0.25)
-    () =
-  if prefer_decay <= 0. || prefer_decay >= 1. then
-    Error (Error.Config "prefer_decay outside (0, 1)")
-  else begin
-    let known = List.map (fun t -> t.Tenant.name) tenants in
-    match Policy.validate policy ~known with
-    | Error e -> Error e
-    | Ok () ->
-      (* Leaves come out in the policy's left-to-right tenant order, which
-         matches the depth-first numbering [Pifo_tree.to_qdisc] uses. *)
-      let weight_of name =
-        (List.find (fun t -> t.Tenant.name = name) tenants).Tenant.weight
-      in
-      let rec build node =
-        match node with
-        | Policy.Tenant _ -> Sched.Pifo_tree.leaf ()
-        | Policy.Strict tiers -> Sched.Pifo_tree.strict (List.map build tiers)
-        | Policy.Share members ->
-          Sched.Pifo_tree.wfq
-            (List.map
-               (fun m ->
-                 let w =
-                   match m with
-                   | Policy.Tenant name -> weight_of name
-                   | Policy.Share _ | Policy.Prefer _ | Policy.Strict _ -> 1.0
-                 in
-                 (build m, w))
-               members)
-        | Policy.Prefer groups ->
-          Sched.Pifo_tree.wfq
-            (List.mapi
-               (fun i g -> (build g, prefer_decay ** float_of_int i))
-               groups)
-      in
-      let tree = build policy in
-      let names = Policy.tenant_names policy in
-      let leaf_of_tenant = Hashtbl.create 8 in
-      List.iteri
-        (fun leaf_index name ->
-          let tenant = List.find (fun t -> t.Tenant.name = name) tenants in
-          Hashtbl.replace leaf_of_tenant tenant.Tenant.id leaf_index)
-        names;
-      let last_leaf = List.length names - 1 in
-      let classify (p : Sched.Packet.t) =
-        match Hashtbl.find_opt leaf_of_tenant p.Sched.Packet.tenant with
-        | Some leaf -> leaf
-        | None -> last_leaf
-      in
-      Ok
-        (Sched.Pifo_tree.to_qdisc ~name:"qvisor-pifo-tree" ~classify
-           ~capacity_pkts tree)
-  end
+let pifo_tree_of_policy ~tenants ~policy ~capacity_pkts () =
+  let known = List.map (fun t -> t.Tenant.name) tenants in
+  match Policy.validate policy ~known with
+  | Error e -> Error e
+  | Ok () ->
+    (* Leaves come out in the policy's left-to-right tenant order, which
+       matches the depth-first numbering [Pifo_tree.to_qdisc] uses. *)
+    let weight_of name =
+      (List.find (fun t -> t.Tenant.name = name) tenants).Tenant.weight
+    in
+    let rec build node =
+      match node with
+      | Policy.Tenant _ -> Sched.Pifo_tree.leaf ()
+      | Policy.Strict tiers -> Sched.Pifo_tree.strict (List.map build tiers)
+      | Policy.Share members ->
+        Sched.Pifo_tree.wfq
+          (List.map
+             (fun m ->
+               let w =
+                 match m with
+                 | Policy.Tenant name -> weight_of name
+                 | Policy.Share _ | Policy.Prefer _ | Policy.Strict _ -> 1.0
+               in
+               (build m, w))
+             members)
+      | Policy.Prefer groups ->
+        Sched.Pifo_tree.wfq
+          (List.mapi (fun i g -> (build g, 0.25 ** float_of_int i)) groups)
+    in
+    let tree = build policy in
+    let names = Policy.tenant_names policy in
+    let leaf_of_tenant = Hashtbl.create 8 in
+    List.iteri
+      (fun leaf_index name ->
+        let tenant = List.find (fun t -> t.Tenant.name = name) tenants in
+        Hashtbl.replace leaf_of_tenant tenant.Tenant.id leaf_index)
+      names;
+    let last_leaf = List.length names - 1 in
+    let classify (p : Sched.Packet.t) =
+      match Hashtbl.find_opt leaf_of_tenant p.Sched.Packet.tenant with
+      | Some leaf -> leaf
+      | None -> last_leaf
+    in
+    Ok
+      (Sched.Pifo_tree.to_qdisc ~name:"qvisor-pifo-tree" ~classify
+         ~capacity_pkts tree)
 
 let describe = function
   | Ideal_pifo { capacity_pkts } ->

@@ -61,14 +61,13 @@ val pifo_tree_of_policy :
   tenants:Tenant.t list ->
   policy:Policy.t ->
   capacity_pkts:int ->
-  ?prefer_decay:float ->
   unit ->
   (Sched.Qdisc.t, Error.t) result
 (** The §5 "PIFO trees" alternative to rank transformations: compile the
     operator policy {e directly} into a hierarchical scheduler — [>>]
     becomes a strict node, [+] a WFQ node over the members' weights, [>]
-    a WFQ node with geometrically decaying weights ([prefer_decay],
-    default 0.25, scales each successive operand's weight).  Each tenant
+    a WFQ node with geometrically decaying weights (each successive
+    operand's weight is 0.25 times the previous one).  Each tenant
     gets a leaf scheduling its packets by their {e raw} ranks, so no
     pre-processor is needed at all — the tree itself realizes the
     multi-tenant composition.  Packets of unknown tenants share the last

@@ -14,6 +14,4 @@ let to_string = function
   | Config msg -> "config: " ^ msg
   | Unavailable msg -> "unavailable: " ^ msg
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let equal (a : t) b = a = b

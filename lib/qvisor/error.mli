@@ -31,6 +31,4 @@ val to_string : t -> string
     e.g. ["policy: unexpected character ..."] or
     ["deploy: fewer queues than strict tiers"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

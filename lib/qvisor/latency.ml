@@ -55,9 +55,11 @@ let pooled_envelopes (plan : Synthesizer.plan) ~envelopes ~upto_tier =
     tiers;
   (!sigma_total, !rho_strictly_higher, !rho_same_or_higher)
 
-let delay_bound ~plan ~envelopes ~link_rate ?(mtu_bytes = 1518) ~tenant_id () =
+(* A full Ethernet frame: the non-preemption term of every bound. *)
+let mtu_bytes = 1518
+
+let delay_bound ~plan ~envelopes ~link_rate ~tenant_id () =
   if link_rate <= 0. then invalid_arg "Latency.delay_bound: link_rate <= 0";
-  if mtu_bytes <= 0 then invalid_arg "Latency.delay_bound: mtu <= 0";
   let tier = tier_of_tenant plan ~tenant_id in
   let capacity_bytes = link_rate /. 8. in
   let sigma, rho_higher, rho_incl =
@@ -72,13 +74,13 @@ let delay_bound ~plan ~envelopes ~link_rate ?(mtu_bytes = 1518) ~tenant_id () =
     Bounded ((sigma +. float_of_int mtu_bytes) /. residual)
   end
 
-let report ~plan ~envelopes ~link_rate ?mtu_bytes () =
+let report ~plan ~envelopes ~link_rate () =
   plan.Synthesizer.assignments
   |> List.map (fun a ->
          let tenant = a.Synthesizer.tenant in
          ( tenant,
-           delay_bound ~plan ~envelopes ~link_rate ?mtu_bytes
-             ~tenant_id:tenant.Tenant.id () ))
+           delay_bound ~plan ~envelopes ~link_rate ~tenant_id:tenant.Tenant.id
+             () ))
 
 let pp_bound ppf = function
   | Bounded d -> Format.fprintf ppf "%.3f ms" (1e3 *. d)

@@ -42,22 +42,20 @@ val delay_bound :
   plan:Synthesizer.plan ->
   envelopes:(int * envelope) list ->
   link_rate:float ->
-  ?mtu_bytes:int ->
   tenant_id:int ->
   unit ->
   bound
 (** Worst-case delay of a tenant's packets at a link of [link_rate]
     (bits/s) scheduled according to [plan]'s strict tiers.  [envelopes]
     maps tenant ids to their declared arrival envelopes; a tenant with no
-    envelope contributes nothing (treat with care).  [mtu_bytes] defaults
-    to 1518.
+    envelope contributes nothing (treat with care).  One 1518-byte frame
+    in service is the non-preemption term.
     @raise Invalid_argument on bad rates or an unknown [tenant_id]. *)
 
 val report :
   plan:Synthesizer.plan ->
   envelopes:(int * envelope) list ->
   link_rate:float ->
-  ?mtu_bytes:int ->
   unit ->
   (Tenant.t * bound) list
 (** Bounds for every tenant of the plan, in tenant-id order. *)

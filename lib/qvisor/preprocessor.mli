@@ -47,10 +47,6 @@ val process_conditioned :
     hook the adversarial-workload guard uses to clamp or park offenders
     without touching the synthesized plan. *)
 
-val transform_for : t -> tenant_id:int -> Transform.t
-(** The transformation the table currently holds for a tenant
-    ([fallback] when absent). *)
-
 val processed : t -> int
 (** Packets processed so far. *)
 

@@ -35,8 +35,8 @@ let create ?(config = Synthesizer.default_config)
           Engine.Telemetry.counter telemetry "runtime.resyntheses";
       }
 
-let create_exn ?config ?telemetry ~tenants ~policy () =
-  match create ?config ?telemetry ~tenants ~policy () with
+let create_exn ~tenants ~policy () =
+  match create ~tenants ~policy () with
   | Ok t -> t
   | Error e -> invalid_arg ("Runtime.create: " ^ Error.to_string e)
 

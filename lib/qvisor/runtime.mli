@@ -23,14 +23,9 @@ val create :
     [telemetry] (default: off) is threaded to the pre-processor and
     counts every successful re-synthesis under [runtime.resyntheses]. *)
 
-val create_exn :
-  ?config:Synthesizer.config ->
-  ?telemetry:Engine.Telemetry.t ->
-  tenants:Tenant.t list ->
-  policy:Policy.t ->
-  unit ->
-  t
-(** @raise Invalid_argument if the initial synthesis fails. *)
+val create_exn : tenants:Tenant.t list -> policy:Policy.t -> unit -> t
+(** {!create} with the default configuration and no telemetry.
+    @raise Invalid_argument if the initial synthesis fails. *)
 
 val process : t -> Sched.Packet.t -> unit
 (** The line-rate path: fold the packet's rank label into its tenant's

@@ -35,12 +35,12 @@ let demote_last policy =
   | Policy.Strict _ | Policy.Tenant _ | Policy.Share _ | Policy.Prefer _ ->
     None
 
-let fit ?config ~tenants ~policy ~resources () =
+let fit ~tenants ~policy ~resources () =
   if resources.num_queues <= 0 then Error (Error.Config "num_queues <= 0")
   else begin
     let rec search current demotions =
       if required_queues current <= resources.num_queues then begin
-        match Synthesizer.synthesize ?config ~tenants ~policy:current () with
+        match Synthesizer.synthesize ~tenants ~policy:current () with
         | Error e -> Error e
         | Ok plan -> (
           match

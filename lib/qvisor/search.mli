@@ -34,7 +34,6 @@ val required_queues : Policy.t -> int
     strict-priority deployment. *)
 
 val fit :
-  ?config:Synthesizer.config ->
   tenants:Tenant.t list ->
   policy:Policy.t ->
   resources:resources ->

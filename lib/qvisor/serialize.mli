@@ -15,8 +15,6 @@ val policy_to_json : Policy.t -> Engine.Json.t
 
 val policy_of_json : Engine.Json.t -> (Policy.t, Error.t) result
 
-val transform_to_json : Transform.t -> Engine.Json.t
-
 val config_to_json : Synthesizer.config -> Engine.Json.t
 (** Rank space, quantization levels ([null] for full resolution) and
     prefer bias — everything needed to re-synthesize a plan from a spec,

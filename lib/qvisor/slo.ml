@@ -41,13 +41,8 @@ let strict_depth policy (tenant : Tenant.t) =
   in
   find 0 tiers
 
-let derive ~plan ?(envelopes = []) ?link_rate ?mtu_bytes
-    ?(delay_quantile = 0.99) ?(drop_budget = 0.02) ?(delay_headroom = 2.)
-    () =
+let derive ~plan ?(envelopes = []) ?link_rate ?(drop_budget = 0.02) () =
   if drop_budget <= 0. then invalid_arg "Slo.derive: drop_budget <= 0";
-  if delay_quantile <= 0. || delay_quantile >= 1. then
-    invalid_arg "Slo.derive: delay_quantile outside (0, 1)";
-  if delay_headroom < 1. then invalid_arg "Slo.derive: delay_headroom < 1";
   List.map
     (fun (a : Synthesizer.assignment) ->
       let tenant = a.Synthesizer.tenant in
@@ -55,10 +50,10 @@ let derive ~plan ?(envelopes = []) ?link_rate ?mtu_bytes
         match link_rate with
         | Some link_rate when envelopes <> [] -> (
           match
-            Latency.delay_bound ~plan ~envelopes ~link_rate ?mtu_bytes
+            Latency.delay_bound ~plan ~envelopes ~link_rate
               ~tenant_id:tenant.Tenant.id ()
           with
-          | Latency.Bounded d -> Some (delay_headroom *. d)
+          | Latency.Bounded d -> Some (2. *. d)
           | Latency.Unstable -> None)
         | _ -> None
       in
@@ -73,7 +68,7 @@ let derive ~plan ?(envelopes = []) ?link_rate ?mtu_bytes
       {
         tenant;
         delay_bound;
-        delay_quantile;
+        delay_quantile = 0.99;
         drop_budget;
         rank_error_budget = (1.5 *. measured_rank_error plan tenant) +. 1.;
       })

@@ -45,20 +45,16 @@ val derive :
   plan:Synthesizer.plan ->
   ?envelopes:(int * Latency.envelope) list ->
   ?link_rate:float ->
-  ?mtu_bytes:int ->
-  ?delay_quantile:float ->
   ?drop_budget:float ->
-  ?delay_headroom:float ->
   unit ->
   objective list
 (** One objective per plan tenant, in tenant-id order.  Delay bounds are
-    derived only when both [envelopes] and [link_rate] are given
-    ([mtu_bytes] defaults to 1518 as in {!Latency}), then multiplied by
-    [delay_headroom] (default [2.], at least [1.]): the calculus bound
-    assumes FIFO service within the aggregate, but a tenant's own
-    scheduler (pFabric's SRPT, say) reorders within the band, so a
-    low-priority packet can be overtaken by roughly one extra backlog
-    drain.  [delay_quantile] defaults to [0.99], [drop_budget] to
+    derived only when both [envelopes] and [link_rate] are given (by
+    {!Latency.delay_bound}), then doubled: the calculus bound assumes
+    FIFO service within the aggregate, but a tenant's own scheduler
+    (pFabric's SRPT, say) reorders within the band, so a low-priority
+    packet can be overtaken by roughly one extra backlog drain.  The
+    audited delay quantile is [0.99].  [drop_budget] defaults to
     [0.02]; a tenant below a strict edge keeps only a sanity-floor drop
     budget of [0.5] — starvation of a strictly-lower tier is [>>]
     working as specified, not an incident, so its drop objective guards
@@ -66,8 +62,7 @@ val derive :
     The rank-error budget is [1.5 x + 1] where [x] is the plan's measured
     worst quantization error over (at most 1024 samples of) the tenant's
     declared range.
-    @raise Invalid_argument when [drop_budget <= 0], [delay_quantile]
-    is outside (0, 1), or [delay_headroom < 1]. *)
+    @raise Invalid_argument when [drop_budget <= 0]. *)
 
 type audit_config = {
   window : int;  (** enqueue attempts per burn window (default 256) *)

@@ -26,11 +26,10 @@ val make :
   unit ->
   t
 (** Defaults: [algorithm = "custom"], range [0, 65535], weight 1.0.
-    @raise Invalid_argument if [id < 0] (ids index the pre-processor's
-    and guard's dense tables), [rank_lo > rank_hi], the name is empty,
-    or [weight <= 0]. *)
+    @raise Invalid_argument if [id] is outside [\[0, 65535\]] (ids index
+    dense per-tenant tables — pre-processor, SLO auditor, guard, runtime
+    and fabric telemetry — sized to the largest id plus one),
+    [rank_lo > rank_hi], the name is empty, or [weight <= 0]. *)
 
 val range_width : t -> int
 (** [rank_hi - rank_lo + 1]. *)
-
-val pp : Format.formatter -> t -> unit

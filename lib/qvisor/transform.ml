@@ -10,8 +10,6 @@ type t =
     }
   | Compose of t * t
 
-let shift k = Shift k
-
 let normalize ~src:(src_lo, src_hi) ~dst:(dst_lo, dst_hi) ?levels () =
   if src_lo > src_hi then invalid_arg "Transform.normalize: empty source range";
   if dst_lo > dst_hi then invalid_arg "Transform.normalize: empty destination";
@@ -78,8 +76,6 @@ let rec range t (lo, hi) =
     (* Monotone, so the image interval is the image of the endpoints. *)
     (apply t lo, apply t hi)
   | Compose (f, g) -> range g (range f (lo, hi))
-
-let is_monotone _ = true
 
 let rec pp ppf = function
   | Identity -> Format.pp_print_string ppf "id"

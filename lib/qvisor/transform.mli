@@ -21,8 +21,6 @@ type t =
     }
   | Compose of t * t  (** apply the first, then the second *)
 
-val shift : int -> t
-
 val normalize :
   src:int * int -> dst:int * int -> ?levels:int -> unit -> t
 (** Affine map of the source interval onto the destination interval with
@@ -45,10 +43,5 @@ val apply_exact : t -> int -> float
 val range : t -> int * int -> int * int
 (** Image interval of an input rank interval (interval analysis used by
     the static analyzer).  Both bounds inclusive. *)
-
-val is_monotone : t -> bool
-(** All primitive transformations preserve intra-tenant rank order (the
-    paper's requirement that tenants keep their own scheduling
-    behaviour); always true today, kept for future primitives. *)
 
 val pp : Format.formatter -> t -> unit

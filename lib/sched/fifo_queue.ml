@@ -2,7 +2,7 @@
    that packet in every cell; the extra last cell keeps it as the blank
    a dequeued cell is reset to, so a drained queue holds no packets
    (allocating a dummy Packet.t would perturb the uid stream). *)
-let create ?(name = "fifo") ~capacity_pkts () =
+let create ~capacity_pkts () =
   if capacity_pkts <= 0 then invalid_arg "Fifo_queue.create: capacity <= 0";
   let ring = ref [||] in
   let head = ref 0 in
@@ -35,7 +35,7 @@ let create ?(name = "fifo") ~capacity_pkts () =
     end
   in
   let peek () = if !len = 0 then None else Some (Array.unsafe_get !ring !head) in
-  Qdisc.make ~name ~enqueue_drop ~dequeue ~peek
+  Qdisc.make ~name:"fifo" ~enqueue_drop ~dequeue ~peek
     ~length:(fun () -> !len)
     ~bytes:(fun () -> !bytes)
     ~drops:(fun () -> !drops)

@@ -59,7 +59,3 @@ let make ?(kind = Data) ?(tenant = 0) ?(src = 0) ?(dst = 0) ?(seq = 0) ?payload
 let compare_rank a b =
   let c = compare a.rank b.rank in
   if c <> 0 then c else compare a.uid b.uid
-
-let pp ppf p =
-  Format.fprintf ppf "pkt#%d(flow=%d tenant=%d rank=%d size=%dB)" p.uid p.flow
-    p.tenant p.rank p.size

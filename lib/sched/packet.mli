@@ -62,8 +62,6 @@ val header_bytes : int
 val compare_rank : t -> t -> int
 (** Order by rank, then by [uid] (arrival order) for stability. *)
 
-val pp : Format.formatter -> t -> unit
-
 val reset_uid_counter : int -> unit
 (** [reset_uid_counter start]: the calling domain's next packet gets uid
     [start + 1].  The counter is domain-local, so a simulation that

@@ -24,7 +24,3 @@ let drain q =
     match q.dequeue () with None -> List.rev acc | Some p -> loop (p :: acc)
   in
   loop []
-
-let pp ppf q =
-  Format.fprintf ppf "%s[len=%d bytes=%d drops=%d]" q.name (q.length ())
-    (q.bytes ()) (q.drops ())

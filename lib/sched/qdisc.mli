@@ -89,5 +89,3 @@ val accepted : t -> Packet.t -> Packet.t list -> bool
 
 val drain : t -> Packet.t list
 (** Dequeue everything, in service order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -22,10 +22,6 @@ let pfabric ?(unit_bytes = 1000) () =
   if unit_bytes <= 0 then invalid_arg "Ranker.pfabric: unit_bytes <= 0";
   of_fn "pfabric" (fun ~now:_ p -> p.Packet.remaining / unit_bytes)
 
-let srpt ?unit_bytes () =
-  let r = pfabric ?unit_bytes () in
-  { r with name = "srpt" }
-
 let edf ?(unit_seconds = 1e-6) ?horizon () =
   if unit_seconds <= 0. then invalid_arg "Ranker.edf: unit_seconds <= 0";
   let horizon_units =
@@ -44,8 +40,8 @@ let edf ?(unit_seconds = 1e-6) ?horizon () =
   in
   of_fn "edf" tag
 
-let stfq ?(unit_bytes = 1000) ?(weight = fun ~flow:_ -> 1.0) () =
-  if unit_bytes <= 0 then invalid_arg "Ranker.stfq: unit_bytes <= 0";
+let stfq ?(weight = fun ~flow:_ -> 1.0) () =
+  let unit_bytes = 1000 in
   (* Virtual time in weighted bytes; per-flow last finish tags. *)
   let virtual_time = ref 0. in
   let last_finish : (int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -69,12 +65,10 @@ let stfq ?(unit_bytes = 1000) ?(weight = fun ~flow:_ -> 1.0) () =
   in
   { name = "stfq"; tag; on_dequeue }
 
-let fifo ?(unit_seconds = 1e-6) () =
-  if unit_seconds <= 0. then invalid_arg "Ranker.fifo: unit_seconds <= 0";
-  of_fn "fifo" (fun ~now:_ p -> int_of_float (p.Packet.created_at /. unit_seconds))
+let fifo () =
+  of_fn "fifo" (fun ~now:_ p -> int_of_float (p.Packet.created_at /. 1e-6))
 
-let fifo_plus ?(unit_seconds = 1e-6) () =
-  if unit_seconds <= 0. then invalid_arg "Ranker.fifo_plus: unit_seconds <= 0";
+let fifo_plus () =
   (* Per-flow age advantage: the first packet of a flow anchors the flow's
      offset; later packets are ranked as if they arrived at the anchor plus
      their in-flow spacing, which emulates FIFO+'s "rank by expected
@@ -90,7 +84,7 @@ let fifo_plus ?(unit_seconds = 1e-6) () =
         p.Packet.created_at
     in
     let expected = Float.max anchor p.Packet.created_at in
-    int_of_float (expected /. unit_seconds)
+    int_of_float (expected /. 1e-6)
   in
   { name = "fifo+"; tag; on_dequeue = no_feedback }
 
@@ -113,7 +107,10 @@ let constant n = of_fn "constant" (fun ~now:_ _ -> n)
 (* Multi-objective combinators                                        *)
 (* ------------------------------------------------------------------ *)
 
-let normalized_component ~resolution (ranker, (lo, hi), ()) ~now p =
+(* Normalized component ranks span [0, resolution]. *)
+let resolution = 1000
+
+let normalized_component (ranker, (lo, hi), ()) ~now p =
   if lo > hi then invalid_arg "Ranker: empty component range";
   let raw = ranker.tag ~now p in
   let clamped = max lo (min hi raw) in
@@ -123,9 +120,8 @@ let normalized_component ~resolution (ranker, (lo, hi), ()) ~now p =
     /. float_of_int (hi - lo)
     *. float_of_int resolution
 
-let weighted ?name ?(resolution = 1000) ~components () =
+let weighted ~components () =
   if components = [] then invalid_arg "Ranker.weighted: no components";
-  if resolution <= 0 then invalid_arg "Ranker.weighted: resolution <= 0";
   List.iter
     (fun ((_ : t), (lo, hi), w) ->
       if lo > hi then invalid_arg "Ranker.weighted: empty component range";
@@ -133,18 +129,15 @@ let weighted ?name ?(resolution = 1000) ~components () =
     components;
   let total_weight = List.fold_left (fun acc (_, _, w) -> acc +. w) 0. components in
   let name =
-    match name with
-    | Some n -> n
-    | None ->
-      "weighted("
-      ^ String.concat "," (List.map (fun (r, _, _) -> r.name) components)
-      ^ ")"
+    "weighted("
+    ^ String.concat "," (List.map (fun (r, _, _) -> r.name) components)
+    ^ ")"
   in
   let tag ~now p =
     let sum =
       List.fold_left
         (fun acc (r, range, w) ->
-          acc +. (w *. normalized_component ~resolution (r, range, ()) ~now p))
+          acc +. (w *. normalized_component (r, range, ()) ~now p))
         0. components
     in
     int_of_float (sum /. total_weight)
@@ -152,24 +145,19 @@ let weighted ?name ?(resolution = 1000) ~components () =
   let on_dequeue p = List.iter (fun (r, _, _) -> r.on_dequeue p) components in
   { name; tag; on_dequeue }
 
-let lexicographic ?name ?(secondary_levels = 64) ~primary ~secondary () =
-  if secondary_levels <= 0 then
-    invalid_arg "Ranker.lexicographic: secondary_levels <= 0";
+let lexicographic ~primary ~secondary () =
+  let secondary_levels = 64 in
   let primary_ranker, primary_range = primary in
   let secondary_ranker, secondary_range = secondary in
   let name =
-    match name with
-    | Some n -> n
-    | None ->
-      Printf.sprintf "lex(%s,%s)" primary_ranker.name secondary_ranker.name
+    Printf.sprintf "lex(%s,%s)" primary_ranker.name secondary_ranker.name
   in
-  let resolution = 1000 in
   let tag ~now p =
     let prim =
-      normalized_component ~resolution (primary_ranker, primary_range, ()) ~now p
+      normalized_component (primary_ranker, primary_range, ()) ~now p
     in
     let sec =
-      normalized_component ~resolution (secondary_ranker, secondary_range, ())
+      normalized_component (secondary_ranker, secondary_range, ())
         ~now p
     in
     let sec_level =

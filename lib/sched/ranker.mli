@@ -28,28 +28,26 @@ val pfabric : ?unit_bytes:int -> unit -> t
 (** Shortest-remaining-flow-first: rank = remaining bytes / [unit_bytes]
     (default 1000, i.e. KB granularity). *)
 
-val srpt : ?unit_bytes:int -> unit -> t
-(** Alias of {!pfabric} under its queueing-theory name. *)
-
 val edf : ?unit_seconds:float -> ?horizon:float -> unit -> t
 (** Earliest-deadline-first: rank = time to deadline in [unit_seconds]
     (default 1e-6: microseconds), clamped to [\[0, horizon\]] (default 10 s
     worth of units).  Packets with no deadline rank at the horizon. *)
 
-val stfq : ?unit_bytes:int -> ?weight:(flow:int -> float) -> unit -> t
-(** Start-time fair queueing: rank = per-flow virtual start time (bytes
-    scaled by flow weight and [unit_bytes], default 1000).  [weight]
+val stfq : ?weight:(flow:int -> float) -> unit -> t
+(** Start-time fair queueing: rank = per-flow virtual start time in KB
+    (bytes scaled by flow weight, over 1000).  [weight]
     defaults to 1.0 for every flow.  The virtual clock advances with
     assigned start tags and, when connected, with {!on_dequeue} feedback. *)
 
-val fifo : ?unit_seconds:float -> unit -> t
-(** Rank = packet creation time in [unit_seconds] (default 1e-6), i.e.
-    global FIFO order — the identity policy. *)
+val fifo : unit -> t
+(** Rank = packet creation time in microseconds, i.e. global FIFO order
+    — the identity policy. *)
 
-val fifo_plus : ?unit_seconds:float -> unit -> t
+val fifo_plus : unit -> t
 (** FIFO+ (Clark/Shenker/Zhang): rank by creation time minus the flow's
     accumulated scheduling advantage, which at a single tagging point
-    reduces to creation-time order with per-flow age correction. *)
+    reduces to creation-time order with per-flow age correction
+    (microseconds). *)
 
 val lstf : ?unit_seconds:float -> ?line_rate:float -> unit -> t
 (** Least-slack-time-first: rank = (deadline - now - remaining
@@ -58,9 +56,6 @@ val lstf : ?unit_seconds:float -> ?line_rate:float -> unit -> t
 
 val constant : int -> t
 (** Every packet gets the same rank — useful in tests. *)
-
-val of_fn : string -> (now:float -> Packet.t -> int) -> t
-(** Escape hatch: wrap an arbitrary tagging function. *)
 
 (** {2 Multi-objective combinators}
 
@@ -71,30 +66,23 @@ val of_fn : string -> (now:float -> Packet.t -> int) -> t
     ranks live in and is normalized before combination — the same
     homogenization trick the synthesizer uses across tenants. *)
 
-val weighted :
-  ?name:string ->
-  ?resolution:int ->
-  components:(t * (int * int) * float) list ->
-  unit ->
-  t
+val weighted : components:(t * (int * int) * float) list -> unit -> t
 (** [weighted ~components ()] ranks by the weighted average of the
     components' normalized ranks.  Each component is
     [(ranker, (lo, hi), weight)]: raw ranks are clamped to [\[lo, hi\]]
-    and mapped onto [\[0, resolution\]] (default 1000) before averaging
-    with the given positive weights.  Dequeue feedback reaches every
-    component.
+    and mapped onto [\[0, 1000\]] before averaging with the given
+    positive weights.  Dequeue feedback reaches every component, and the
+    name is [weighted(<component names>)].
     @raise Invalid_argument on an empty component list, empty ranges, or
     non-positive weights. *)
 
 val lexicographic :
-  ?name:string ->
-  ?secondary_levels:int ->
   primary:t * (int * int) ->
   secondary:t * (int * int) ->
   unit ->
   t
 (** [lexicographic ~primary ~secondary ()] ranks by the primary objective
     and breaks ties by the secondary: the primary's normalized rank is
-    scaled by [secondary_levels] (default 64) and the secondary,
-    quantized to that many levels, is added.  E.g. minimize FCT first and
-    prefer earlier deadlines among equals. *)
+    scaled by 64 and the secondary, quantized to 64 levels, is added.
+    E.g. minimize FCT first and prefer earlier deadlines among equals.
+    The name is [lex(<primary>,<secondary>)]. *)

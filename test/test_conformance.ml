@@ -231,6 +231,25 @@ let test_run_cases_exact_backend_conformant () =
   Alcotest.(check int) "ideal has zero inversions" 0
     ideal.Conformance.Differential.inversions
 
+(* sp-bank-8q's band-aware deploy (QVISOR's strict-tier band allocation)
+   keeps every [>>] edge: on CI's fleet it may reorder within a band,
+   never across a strict edge. *)
+let test_sp_bank_keeps_strict_edges () =
+  let res =
+    Conformance.Differential.run_cases ~jobs:2 ~seed:42 ~cases:200 ()
+  in
+  match
+    List.find_opt
+      (fun (s : Conformance.Differential.backend_stats) ->
+        s.Conformance.Differential.backend = "sp-bank-8q")
+      res.Conformance.Differential.stats
+  with
+  | None -> Alcotest.fail "sp-bank-8q is not in the standard fleet"
+  | Some s ->
+    Alcotest.(check int) "every case ran" 200 s.Conformance.Differential.cases;
+    Alcotest.(check int) "no strict >> violation" 0
+      s.Conformance.Differential.strict_violations
+
 let test_run_cases_jobs_invariant () =
   let strip (r : Conformance.Differential.run_result) =
     ( r.Conformance.Differential.total_events,
@@ -392,6 +411,8 @@ let () =
         [
           Alcotest.test_case "exact backend conformant" `Quick
             test_run_cases_exact_backend_conformant;
+          Alcotest.test_case "sp-bank-8q keeps >> edges" `Quick
+            test_sp_bank_keeps_strict_edges;
           Alcotest.test_case "jobs-invariant results" `Quick
             test_run_cases_jobs_invariant;
           Alcotest.test_case "injected faults detected" `Quick

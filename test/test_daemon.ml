@@ -600,22 +600,23 @@ let test_slow_reader_holds_back_only_itself () =
   Unix.close hog;
   shutdown_over other server_thread
 
-(* A tenant-add whose tenant carries a negative id is refused with a
-   typed error, leaves the deployment as it was, and the daemon goes on
-   answering.  Such an id would index the pre-processor's dense table. *)
-let test_negative_tenant_id_refused () =
+(* A tenant-add whose tenant carries an id outside [0, 65535] is refused
+   with a typed error, leaves the deployment as it was, and the daemon
+   goes on answering.  Such an id would index, or size, the dense
+   per-tenant tables. *)
+let refuse_tenant_id id =
   let t = temp_server () in
   let server_thread = Thread.create Daemon.Server.serve t in
   let fd = connect_ctl t in
-  let hostile = { (tenant ~id:9 "neg") with Qvisor.Tenant.id = -1 } in
+  let hostile = { (tenant ~id:9 "bad") with Qvisor.Tenant.id } in
   (match
      rpc fd
        (Daemon.Proto.Tenant_add
-          { tenant = hostile; policy = Some (policy "edf >> pfabric + neg") })
+          { tenant = hostile; policy = Some (policy "edf >> pfabric + bad") })
    with
   | Error (Qvisor.Error.Config _) -> ()
   | Error e -> Alcotest.failf "not a config error: %s" (Qvisor.Error.to_string e)
-  | Ok _ -> Alcotest.fail "a negative tenant id must be refused"
+  | Ok _ -> Alcotest.failf "tenant id %d must be refused" id
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
     Alcotest.fail "no reply to the hostile tenant-add");
   (match rpc fd Daemon.Proto.Status with
@@ -627,6 +628,11 @@ let test_negative_tenant_id_refused () =
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
     Alcotest.fail "no status reply after the hostile tenant-add");
   shutdown_over fd server_thread
+
+let test_negative_tenant_id_refused () = refuse_tenant_id (-1)
+
+(* 10^18 would size those tables past any memory. *)
+let test_huge_tenant_id_refused () = refuse_tenant_id 1_000_000_000_000_000_000
 
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
@@ -910,5 +916,7 @@ let () =
             test_slow_reader_holds_back_only_itself;
           Alcotest.test_case "negative tenant id is refused" `Slow
             test_negative_tenant_id_refused;
+          Alcotest.test_case "huge tenant id is refused" `Slow
+            test_huge_tenant_id_refused;
         ] );
     ]

@@ -95,7 +95,9 @@ let test_minor_words_per_hop () =
   let params = { Experiments.Fig4.quick with Experiments.Fig4.load = 0.5 } in
   let scheme = Experiments.Fig4.Qvisor_policy "pfabric >> edf" in
   let tel = Engine.Telemetry.create () in
-  let counted = Experiments.Fig4.run_exn ~telemetry:tel params scheme in
+  let counted =
+    Result.get_ok (Experiments.Fig4.run ~telemetry:tel params scheme)
+  in
   let hops =
     Engine.Telemetry.Counter.value (Engine.Telemetry.counter tel "net.enqueue")
   in
@@ -119,6 +121,63 @@ let test_run_reports_bad_policy () =
   | Error e ->
     Alcotest.(check bool) "unknown-tenant error" true
       (match e with Qvisor.Error.Unknown_tenant _ -> true | _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Parameter bounds                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One out-of-range value per field, each refused by [Fig4.run] up front
+   with a typed error that names the field. *)
+let bad_params =
+  let p = tiny_params in
+  Experiments.Fig4.
+    [
+      ("leaves", "0", { p with leaves = 0 });
+      ("spines", "0", { p with spines = 0 });
+      ("hosts_per_leaf", "0", { p with hosts_per_leaf = 0 });
+      ("leaves x hosts_per_leaf", "1", { p with leaves = 1; hosts_per_leaf = 1 });
+      ("access_rate", "0", { p with access_rate = 0. });
+      ("fabric_rate", "-1", { p with fabric_rate = -1. });
+      ("link_delay", "nan", { p with link_delay = Float.nan });
+      ("queue_capacity_pkts", "0", { p with queue_capacity_pkts = 0 });
+      ("queue_capacity_pkts", "2^21", { p with queue_capacity_pkts = 1 lsl 21 });
+      ("load", "0", { p with load = 0. });
+      ("load", "nan", { p with load = Float.nan });
+      ("cbr_flows", "0", { p with cbr_flows = 0 });
+      ("cbr_rate", "inf", { p with cbr_rate = Float.infinity });
+      ("cbr_deadline", "0", { p with cbr_deadline = 0. });
+      ("duration", "nan", { p with duration = Float.nan });
+      ("warmup", "-0.1", { p with warmup = -0.1 });
+      ("drain", "nan", { p with drain = Float.nan });
+      ("pfabric_unit_bytes", "0", { p with pfabric_unit_bytes = 0 });
+      ("edf_unit_seconds", "0", { p with edf_unit_seconds = 0. });
+      ("window", "0", { p with window = 0 });
+      ("rto", "0", { p with rto = 0. });
+      ("levels", "0", { p with levels = Some 0 });
+    ]
+
+let test_rejects field params () =
+  match
+    Experiments.Fig4.run params (Experiments.Fig4.Qvisor_policy "pfabric >> edf")
+  with
+  | Error (Qvisor.Error.Config msg) ->
+    Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true
+      (String.starts_with ~prefix:(field ^ " = ") msg)
+  | Error e -> Alcotest.failf "not a config error: %s" (Qvisor.Error.to_string e)
+  | Ok _ -> Alcotest.failf "%s out of range was accepted" field
+
+let test_shipped_params_accepted () =
+  let accepted name p =
+    match Experiments.Fig4.validate p with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s refused: %s" name (Qvisor.Error.to_string e)
+  in
+  accepted "quick" Experiments.Fig4.quick;
+  accepted "default" Experiments.Fig4.default;
+  accepted "paper" Experiments.Fig4.paper_scale;
+  match Experiments.Config.load "../paper_lite.conf" with
+  | Ok p -> accepted "paper_lite.conf" p
+  | Error e -> Alcotest.failf "paper_lite.conf: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep determinism                                         *)
@@ -482,6 +541,15 @@ let () =
           Alcotest.test_case "bad policy is an Error" `Quick
             test_run_reports_bad_policy;
         ] );
+      ( "params",
+        Alcotest.test_case "shipped scales and paper_lite.conf accepted" `Quick
+          test_shipped_params_accepted
+        :: List.map
+             (fun (field, value, params) ->
+               Alcotest.test_case
+                 (Printf.sprintf "%s = %s refused" field value)
+                 `Quick (test_rejects field params))
+             bad_params );
       ( "parallel_sweep",
         [
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow

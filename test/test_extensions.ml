@@ -1,7 +1,7 @@
 (* Tests for the "Looking Forward" (§5) extensions: nested policies
    (parentheses), resource-constrained synthesis (Search), adversarial
-   workload detection (Guard), multi-objective rank combinators, link
-   utilization instrumentation, and the incast/permutation workloads. *)
+   workload detection (Guard), multi-objective rank combinators and link
+   utilization instrumentation. *)
 
 let parse = Qvisor.Policy.parse_exn
 
@@ -807,43 +807,6 @@ let test_utilization_zero_time () =
   Alcotest.(check (float 0.)) "zero at t=0" 0.
     (Netsim.Net.link_utilization net ~link_id:0 ~now:0.)
 
-let test_incast_completes () =
-  let sim, _, transport = fabric () in
-  let rng = Engine.Rng.create ~seed:3 in
-  let done_ = ref 0 in
-  Netsim.Workload.incast ~sim ~rng ~transport ~tenant:0
-    ~ranker:(Sched.Ranker.pfabric ()) ~num_hosts:4 ~fanin:3
-    ~bytes_per_sender:30_000 ~receiver:0 ~at:0.001
-    ~on_complete:(fun _ -> incr done_)
-    ();
-  Engine.Sim.run sim;
-  Alcotest.(check int) "all senders complete" 3 !done_
-
-let test_incast_validation () =
-  let sim, _, transport = fabric () in
-  let rng = Engine.Rng.create ~seed:3 in
-  let raises f = try f (); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "fanin too large" true
-    (raises (fun () ->
-         Netsim.Workload.incast ~sim ~rng ~transport ~tenant:0
-           ~ranker:(Sched.Ranker.pfabric ()) ~num_hosts:4 ~fanin:4
-           ~bytes_per_sender:1000 ~at:0.001
-           ~on_complete:(fun _ -> ())
-           ()))
-
-let test_permutation_all_hosts_send () =
-  let sim, _, transport = fabric () in
-  let rng = Engine.Rng.create ~seed:9 in
-  let sources = ref [] in
-  Netsim.Workload.permutation ~sim ~rng ~transport ~tenant:0
-    ~ranker:(Sched.Ranker.pfabric ()) ~num_hosts:4 ~bytes_per_flow:10_000
-    ~at:0.001
-    ~on_complete:(fun r -> sources := r.Netsim.Transport.flow_id :: !sources)
-    ();
-  Engine.Sim.run sim;
-  (* A permutation over 4 hosts has at most 4 flows; self-loops skipped. *)
-  Alcotest.(check bool) "some flows completed" true (List.length !sources >= 2)
-
 (* ------------------------------------------------------------------ *)
 (* Runtime hot-swap under live traffic                                *)
 (* ------------------------------------------------------------------ *)
@@ -1017,12 +980,6 @@ let () =
           Alcotest.test_case "utilization" `Quick test_utilization_counts_bytes;
           Alcotest.test_case "busiest links" `Quick test_busiest_links;
           Alcotest.test_case "zero time" `Quick test_utilization_zero_time;
-        ] );
-      ( "workloads",
-        [
-          Alcotest.test_case "incast completes" `Quick test_incast_completes;
-          Alcotest.test_case "incast validation" `Quick test_incast_validation;
-          Alcotest.test_case "permutation" `Quick test_permutation_all_hosts_send;
         ] );
       ( "hot_swap",
         [

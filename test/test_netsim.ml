@@ -605,7 +605,7 @@ let test_cbr_respects_until () =
 let test_net_on_dequeue_feedback () =
   (* The fabric's on_dequeue hook feeds served packets back to a
      virtual-clock ranker (the STFQ feedback loop of the PIFO paper). *)
-  let ranker = Sched.Ranker.stfq ~unit_bytes:100 () in
+  let ranker = Sched.Ranker.stfq () in
   let topo = Netsim.Topology.create ~num_hosts:2 ~num_switches:1 in
   ignore (Netsim.Topology.add_duplex topo ~a:0 ~b:2 ~rate:1e9 ~delay:1e-6);
   ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay:1e-6);

@@ -292,12 +292,7 @@ let test_tree_backend_validation () =
     (Result.is_error
        (Qvisor.Deploy.pifo_tree_of_policy ~tenants:(tree_tenants ())
           ~policy:(Qvisor.Policy.parse_exn "T1 >> TX >> T2 >> T3")
-          ~capacity_pkts:64 ()));
-  Alcotest.(check bool) "bad decay" true
-    (Result.is_error
-       (Qvisor.Deploy.pifo_tree_of_policy ~tenants:(tree_tenants ())
-          ~policy:(Qvisor.Policy.parse_exn "T1 >> T2 >> T3")
-          ~capacity_pkts:64 ~prefer_decay:1.5 ()))
+          ~capacity_pkts:64 ()))
 
 let test_tree_backend_nested_policy () =
   (* T1 + (T2 >> T3): sharing between T1 and the strict pair. *)

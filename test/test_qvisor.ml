@@ -154,7 +154,7 @@ let prop_policy_round_trip =
 (* ------------------------------------------------------------------ *)
 
 let test_transform_shift () =
-  let t = Qvisor.Transform.shift 10 in
+  let t = Qvisor.Transform.Shift 10 in
   Alcotest.(check int) "shift" 15 (Qvisor.Transform.apply t 5);
   Alcotest.(check (pair int int)) "range" (10, 20)
     (Qvisor.Transform.range t (0, 10))
@@ -184,7 +184,7 @@ let test_transform_compose () =
   let t =
     Qvisor.Transform.compose
       (Qvisor.Transform.normalize ~src:(0, 100) ~dst:(0, 10) ())
-      (Qvisor.Transform.shift 5)
+      (Qvisor.Transform.Shift 5)
   in
   Alcotest.(check int) "normalize then shift" 10 (Qvisor.Transform.apply t 50);
   Alcotest.(check (pair int int)) "range composes" (5, 15)
@@ -242,7 +242,7 @@ let prop_transform_range_sound =
       let t =
         Qvisor.Transform.compose
           (Qvisor.Transform.normalize ~src:(lo, hi) ~dst:(0, 1000) ~levels ())
-          (Qvisor.Transform.shift shift)
+          (Qvisor.Transform.Shift shift)
       in
       let rlo, rhi = Qvisor.Transform.range t (lo, hi) in
       let x = lo + (probe_offset mod (width + 1)) in

@@ -777,8 +777,8 @@ let test_edf_rank_decreases_with_time () =
   Alcotest.(check bool) "urgency grows as deadline nears" true (later < early)
 
 let test_stfq_backlogged_flow_accumulates () =
-  let rk = Sched.Ranker.stfq ~unit_bytes:100 () in
-  let tag () = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:1000 ()) in
+  let rk = Sched.Ranker.stfq () in
+  let tag () = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:10_000 ()) in
   let r1 = tag () in
   let r2 = tag () in
   let r3 = tag () in
@@ -786,25 +786,25 @@ let test_stfq_backlogged_flow_accumulates () =
     [ 0; 10; 20 ] [ r1; r2; r3 ]
 
 let test_stfq_new_flow_not_starved () =
-  let rk = Sched.Ranker.stfq ~unit_bytes:100 () in
+  let rk = Sched.Ranker.stfq () in
   (* Flow 1 backlogs 50 packets. *)
   for _ = 1 to 50 do
-    ignore (Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:1000 ()))
+    ignore (Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:10_000 ()))
   done;
-  let f1_next = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:1000 ()) in
-  let f2_first = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:1000 ()) in
+  let f1_next = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:10_000 ()) in
+  let f2_first = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:10_000 ()) in
   Alcotest.(check bool) "newcomer joins near the virtual clock, not at 0" true
     (f2_first <= f1_next && f2_first > 0)
 
 let test_stfq_weights () =
   let weight ~flow = if flow = 1 then 2.0 else 1.0 in
-  let rk = Sched.Ranker.stfq ~unit_bytes:100 ~weight () in
+  let rk = Sched.Ranker.stfq ~weight () in
   (* Two flows, same arrivals: the weight-2 flow's start times advance at
      half the pace, so it is served twice as often. *)
-  let r1a = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:1000 ()) in
-  let r2a = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:1000 ()) in
-  let r1b = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:1000 ()) in
-  let r2b = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:1000 ()) in
+  let r1a = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:10_000 ()) in
+  let r2a = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:10_000 ()) in
+  let r1b = Sched.Ranker.tag rk ~now:0. (mk ~flow:1 ~size:10_000 ()) in
+  let r2b = Sched.Ranker.tag rk ~now:0. (mk ~flow:2 ~size:10_000 ()) in
   Alcotest.(check int) "both start at 0 (a)" 0 r1a;
   Alcotest.(check int) "both start at 0 (b)" 0 r2a;
   Alcotest.(check bool) "weighted flow advances slower" true (r1b < r2b)
@@ -829,7 +829,6 @@ let test_constant_ranker () =
 
 let test_ranker_names () =
   Alcotest.(check string) "pfabric" "pfabric" (Sched.Ranker.name (Sched.Ranker.pfabric ()));
-  Alcotest.(check string) "srpt" "srpt" (Sched.Ranker.name (Sched.Ranker.srpt ()));
   Alcotest.(check string) "edf" "edf" (Sched.Ranker.name (Sched.Ranker.edf ()));
   Alcotest.(check string) "stfq" "stfq" (Sched.Ranker.name (Sched.Ranker.stfq ()))
 

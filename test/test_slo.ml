@@ -53,10 +53,7 @@ let test_derive_validation () =
   let plan = plan_of "T1 >> T2" in
   Alcotest.check_raises "drop_budget <= 0"
     (Invalid_argument "Slo.derive: drop_budget <= 0") (fun () ->
-      ignore (Slo.derive ~plan ~drop_budget:0. ()));
-  Alcotest.check_raises "delay_headroom < 1"
-    (Invalid_argument "Slo.derive: delay_headroom < 1") (fun () ->
-      ignore (Slo.derive ~plan ~delay_headroom:0.5 ()))
+      ignore (Slo.derive ~plan ~drop_budget:0. ()))
 
 (* ------------------------------------------------------------------ *)
 (* Burn windows                                                       *)

@@ -288,7 +288,7 @@ let test_render_empty () =
 (* ------------------------------------------------------------------ *)
 
 let test_annotation_ordering () =
-  let t = Tsdb.create ~annotation_capacity:4 () in
+  let t = Tsdb.create () in
   let ann time kind = Tsdb.annotate t ~time ~kind ~detail:kind () in
   (* Recorded out of order: reads come back time-sorted. *)
   ann 3. "c";
@@ -299,14 +299,20 @@ let test_annotation_ordering () =
     (kinds (Tsdb.annotations t));
   Alcotest.(check (list string)) "window filter is [start, stop)" [ "b" ]
     (kinds (Tsdb.annotations ~start:2. ~stop:3. t));
-  (* Overflow: capacity 4, so the oldest-recorded entry is overwritten. *)
+  (* Overflow: the ring holds 256, so the oldest-recorded entry is
+     overwritten. *)
+  for i = 1 to 252 do
+    ann (100. +. float_of_int i) "f"
+  done;
   ann 5. "d";
   ann 4. "e";
-  Alcotest.(check int) "total counts overwritten entries" 5
+  Alcotest.(check int) "total counts overwritten entries" 257
     (Tsdb.annotations_total t);
+  let retained = kinds (Tsdb.annotations t) in
+  Alcotest.(check int) "ring holds 256" 256 (List.length retained);
   Alcotest.(check (list string)) "oldest-recorded dropped, rest sorted"
-    [ "a"; "b"; "e"; "d" ]
-    (kinds (Tsdb.annotations t))
+    [ "a"; "b"; "e"; "d"; "f" ]
+    (List.filteri (fun i _ -> i < 5) retained)
 
 let test_annotation_tenant () =
   let t = Tsdb.create () in
