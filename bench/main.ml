@@ -334,15 +334,10 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           | None -> ()
         done)
   in
-  (* The default exact backend (what `pifo` deploys today). *)
+  (* The exact PIFO (what `pifo` deploys). *)
   let bench_pifo () =
     churn_bench "pifo/enqueue-dequeue" (fun () ->
         Sched.Bucket_queue.create ~capacity_pkts:256 ())
-  in
-  (* The Map-based PIFO, for the delta against the default backend. *)
-  let bench_pifo_map () =
-    churn_bench "pifo-map/enqueue-dequeue" (fun () ->
-        Sched.Pifo_queue.create ~capacity_pkts:256 ())
   in
   (* Default-backend stress shapes: a deep queue (4,096 packets, where
      every operation walks a twelve-level heap) and a dense rank space
@@ -617,7 +612,6 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
   let entries =
     [
       bench_pifo ();
-      bench_pifo_map ();
       bench_bucket_deep ();
       bench_bucket_dense ();
       bench_bucket_evict ();

@@ -155,6 +155,12 @@ let fig4_cmd =
       Experiments.Fig4.jobs_of_grid params ~loads
         ~schemes:Experiments.Fig4.paper_schemes
     in
+    (* Refuse a bad parameter before the trace is opened or any job
+       starts (jobs differ from [params] only in their load). *)
+    List.iter
+      (fun load ->
+        or_die (Experiments.Fig4.validate { params with Experiments.Fig4.load }))
+      loads;
     (* One part per job (its index is its position in [grid]), sampled
        with the job's own seed and merged in job order. *)
     let instr = start_run ins in
@@ -397,6 +403,8 @@ let single_cmd =
       Format.eprintf "--metrics-interval needs --slo and --metrics-out@.";
       exit 1
     | _ -> ());
+    (* Refuse a bad parameter before any output is opened or created. *)
+    or_die (Experiments.Fig4.validate params);
     let instr = start_run ~seed ins in
     let tel = Cliopts.Run.registry instr in
     let write_metrics path =

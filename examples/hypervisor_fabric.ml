@@ -69,7 +69,8 @@ let () =
   let transport = Netsim.Transport.create ~sim () in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
-      ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
+      ~make_qdisc:(fun _ ->
+        Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts:100 ())
       ~preprocess:(Qvisor.Guard.process guard pre)
       ~deliver:(Netsim.Transport.deliver transport)
       ()

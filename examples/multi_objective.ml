@@ -26,7 +26,7 @@ let population () =
     [ 1; 5; 9 ]
 
 let service_order ranker =
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:64 () in
+  let pifo = Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts:64 () in
   List.iter
     (fun p ->
       ignore (Sched.Ranker.tag ranker ~now:0. p);

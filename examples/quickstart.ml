@@ -41,7 +41,7 @@ let () =
   (* 5. The pre-processor rewrites ranks at line rate; a PIFO schedules
      the transformed ranks.  Offer the figure's seven packets. *)
   let pre = Qvisor.Preprocessor.of_plan plan in
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
+  let pifo = Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts:16 () in
   let offer tenant rank =
     let p = Sched.Packet.make ~tenant ~rank ~flow:tenant ~size:1500 () in
     let raw = p.Sched.Packet.rank in

@@ -38,7 +38,7 @@ let () =
       ~policy:(Qvisor.Policy.parse_exn "T1 + T2")
       ()
   in
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:64 () in
+  let pifo = Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts:64 () in
 
   (* Before t1: T1 and T2 share. *)
   Format.printf "t < t1 — policy %a@."

@@ -21,16 +21,6 @@ let standard_backends () =
       make = mk (fun capacity_pkts -> Qvisor.Deploy.Ideal_pifo { capacity_pkts });
     };
     {
-      (* The Map-based PIFO, kept as a second exact backend: every fleet
-         doubles as a map-vs-heap differential, so a regression in either
-         implementation shows up as a divergence on this pair. *)
-      bname = "pifo-map";
-      expect_exact = true;
-      make =
-        (fun ~plan:_ ~capacity_pkts ->
-          Ok (Sched.Pifo_queue.create ~name:"pifo-map" ~capacity_pkts ()));
-    };
-    {
       bname = "sp-bank-8q";
       expect_exact = false;
       make =
@@ -139,6 +129,30 @@ let replay ?(recorder = Engine.Recorder.disabled) ~plan ~qdisc
         (function None -> None | Some 1 -> None | Some c -> Some (c - 1))
         !queued_ranks
   in
+  (* Every arrival's packet is made up front, in a shuffle of the
+     arrivals seeded by the scenario, so uid order is neither arrival
+     order nor its reverse, as at a fabric port: a backend that breaks
+     ties by uid instead of by arrival diverges from the oracle.
+     [made.(k)] is the [k]th packet made, for arrival [order.(k)], and
+     [nth.(i)] is [k]. *)
+  let arrivals =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Scenario.Enqueue { tenant; label; size } ->
+             Some (tenant, label, size)
+           | Scenario.Dequeue -> None)
+         sc.Scenario.events)
+  in
+  let order = Array.init (Array.length arrivals) Fun.id in
+  Engine.Rng.shuffle (Engine.Rng.create ~seed:sc.Scenario.seed) order;
+  let made =
+    Array.init (Array.length order) (fun k ->
+        let tenant, label, size = arrivals.(order.(k)) in
+        Sched.Packet.make ~tenant ~rank:label ~flow:tenant ~size ())
+  in
+  let nth = Array.make (Array.length order) 0 in
+  Array.iteri (fun k i -> nth.(i) <- k) order;
   let items = Hashtbl.create 64 in
   (* packet uid -> oracle item *)
   let served = ref [] in
@@ -164,8 +178,8 @@ let replay ?(recorder = Engine.Recorder.disabled) ~plan ~qdisc
   in
   List.iteri
     (fun ei -> function
-      | Scenario.Enqueue { tenant; label; size } ->
-        let p = Sched.Packet.make ~tenant ~rank:label ~flow:tenant ~size () in
+      | Scenario.Enqueue { tenant; label; _ } ->
+        let p = made.(nth.(!next_sid)) in
         Qvisor.Preprocessor.process pre p;
         let it =
           { Oracle.sid = !next_sid; tenant; rank = p.Sched.Packet.rank }

@@ -14,8 +14,10 @@ let of_string = function
       (Printf.sprintf "unknown fault %S (expected %s)" s
          (String.concat " | " (List.map to_string all)))
 
-(* A PIFO over an explicit key function, sharing Pifo_queue's shape but
-   parameterized so each fault is a one-line deviation. *)
+(* A PIFO over an explicit (rank, uid) key, so each fault is a one-line
+   deviation from an exact PIFO.  Keying on uid is itself off-contract
+   (ties go by port arrival), which the shuffled uids of a conformance
+   replay expose on top of each fault. *)
 module Key = struct
   type t = int * int
 

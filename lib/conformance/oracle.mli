@@ -2,10 +2,11 @@
 
     The oracle executes a scenario's event sequence against {e exact}
     PIFO semantics over transformed ranks: packets are served in
-    non-decreasing rank order with FIFO tie-break on arrival id, and the
-    drop/eviction model is identical to {!Sched.Pifo_queue} (tail-drop an
-    arrival no better than the current worst, otherwise evict the
-    worst-ranked most-recently-arrived packet).  Ranks come straight from
+    non-decreasing rank order with FIFO tie-break on arrival id (the
+    port-arrival contract of {!Sched.Qdisc.t.dequeue}), and the
+    drop/eviction model of {!Sched.Bucket_queue} (tail-drop an arrival
+    no better than the current worst, otherwise evict the worst-ranked
+    most-recently-arrived packet).  Ranks come straight from
     {!Qvisor.Synthesizer.transform_of} + {!Qvisor.Transform.apply} — a
     deliberately independent path from the pre-processor's compiled
     match-action table, so the differential runner also covers table

@@ -84,7 +84,8 @@ let run ?(telemetry = Engine.Telemetry.disabled)
   in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
-      ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
+      ~make_qdisc:(fun _ ->
+        Sched.Bucket_queue.create ~name:"pifo" ~capacity_pkts:100 ())
       ?preprocess ~telemetry ~profiler ~deliver ()
   in
   Netsim.Transport.attach transport net;

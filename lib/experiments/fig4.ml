@@ -483,29 +483,37 @@ let jobs_of_grid params ~loads ~schemes =
 let run_jobs ?jobs ?(telemetry_for = fun (_ : job) -> Engine.Telemetry.disabled)
     ?(profiler_for = fun (_ : job) -> Engine.Span.disabled)
     ?(on_start = fun (_ : job) -> ()) ?(slo = false) params jobs_list =
-  (* No perf layer, unlike [run]'s default: its gauges are wall-clock
-     rates, so merged snapshots would no longer be identical across worker
-     counts — the invariant parallel sweeps promise. *)
-  let outcomes =
-    Engine.Parallel.map ?jobs
-      (fun job ->
-        on_start job;
-        run
-          ~telemetry:(telemetry_for job)
-          ~profiler:(profiler_for job)
-          ~slo ~perf:false
-          { params with load = job.job_load }
-          job.job_scheme)
-      jobs_list
+  let params_of job : params = { params with load = job.job_load } in
+  (* Refuse a bad parameter before any job starts. *)
+  let valid =
+    List.fold_left
+      (fun ok j -> Result.bind ok (fun () -> validate (params_of j)))
+      (Ok ()) jobs_list
   in
-  (* Surface the lowest-indexed failure, mirroring what a serial run
-     would have hit first. *)
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | Ok r :: rest -> collect (r :: acc) rest
-    | Error e :: _ -> Error e
-  in
-  collect [] outcomes
+  match valid with
+  | Error e -> Error e
+  | Ok () ->
+    (* No perf layer, unlike [run]'s default: its gauges are wall-clock
+       rates, so merged snapshots would no longer be identical across
+       worker counts — the invariant parallel sweeps promise. *)
+    let outcomes =
+      Engine.Parallel.map ?jobs
+        (fun job ->
+          on_start job;
+          run
+            ~telemetry:(telemetry_for job)
+            ~profiler:(profiler_for job)
+            ~slo ~perf:false (params_of job) job.job_scheme)
+        jobs_list
+    in
+    (* Surface the lowest-indexed failure, mirroring what a serial run
+       would have hit first. *)
+    let rec collect acc = function
+      | [] -> Ok (List.rev acc)
+      | Ok r :: rest -> collect (r :: acc) rest
+      | Error e :: _ -> Error e
+    in
+    collect [] outcomes
 
 let sweep ?jobs ?on_start ?slo params ~loads ~schemes =
   run_jobs ?jobs ?on_start ?slo params

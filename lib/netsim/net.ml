@@ -14,13 +14,12 @@ type port = {
   mutable tx_bytes : int;
   bucket : bucket option;
   (* The port's previous dequeue, for the equal-rank FIFO-order
-     conformance check: rank, uid ([-1] = no dequeue yet), and the
-     enqueue/dequeue instants as IEEE-754 bit patterns.  Non-negative
-     floats compare monotonically as integer bits, so the check needs
-     only int compares and the per-dequeue stores stay allocation- and
-     write-barrier-free (no tuple, no boxed floats). *)
+     conformance check: rank, and the enqueue/dequeue instants as
+     IEEE-754 bit patterns ([last_deq_bits = 0]: no dequeue yet).
+     Non-negative floats compare monotonically as integer bits, so the
+     check needs only int compares and the per-dequeue stores stay
+     allocation- and write-barrier-free (no tuple, no boxed floats). *)
   mutable last_rank : int;
-  mutable last_uid : int;
   mutable last_enq_bits : int;
   mutable last_deq_bits : int;
   (* Preallocated end-of-transmission and arrival continuations,
@@ -254,7 +253,6 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
           tx_bytes = 0;
           bucket;
           last_rank = 0;
-          last_uid = -1;
           last_enq_bits = 0;
           last_deq_bits = 0;
           tx_done = ignore;
@@ -402,23 +400,18 @@ let rec pump t port =
       port.busy <- true;
       port.tx_bytes <- port.tx_bytes + p.Sched.Packet.size;
       (* Equal-rank FIFO-order conformance: this packet shares the
-         previous dequeue's rank, precedes it in BOTH tie orders (global
-         uid and arrival at this port), and was already queued when the
-         previous packet left.  A uid-stable PIFO never trips this (it
-         would have served the lower uid first), nor does a pure FIFO
-         (it would have served the earlier arrival first) — but a
-         serve-ties-newest-first backend does so constantly.  Demanding
-         both orders inverted keeps cross-hop reordering, where uid
-         order and port-arrival order legitimately disagree, from
-         counting against a conforming scheduler. *)
+         previous dequeue's rank, arrived at this port before it, and was
+         already queued when the previous packet left.  A conforming
+         queue (ties in port-arrival order) never trips this, since it
+         would have served this packet first; a serve-ties-newest-first
+         backend does so constantly.  No dequeue yet leaves
+         [last_deq_bits] at 0, which no enqueue instant is below. *)
       let deq_now = Engine.Sim.now t.sim in
       let enq_bits =
         Int64.to_int (Int64.bits_of_float p.Sched.Packet.enqueued_at)
       in
       if
-        port.last_uid >= 0
-        && p.Sched.Packet.rank = port.last_rank
-        && p.Sched.Packet.uid < port.last_uid
+        p.Sched.Packet.rank = port.last_rank
         && enq_bits < port.last_enq_bits
         && enq_bits < port.last_deq_bits
       then begin
@@ -432,7 +425,6 @@ let rec pump t port =
         end
       end;
       port.last_rank <- p.Sched.Packet.rank;
-      port.last_uid <- p.Sched.Packet.uid;
       port.last_enq_bits <- enq_bits;
       port.last_deq_bits <- Int64.to_int (Int64.bits_of_float deq_now);
       if t.observed then begin

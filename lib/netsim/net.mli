@@ -72,13 +72,14 @@ val create :
     offered-vs-lost accounting per hop: the SLO auditor's tap.
 
     [on_tie_inversion] (default: nothing) fires when a port serves a
-    packet that shares the previously served packet's rank, precedes it
-    in both tie orders (global uid and arrival at that port), and was
-    already queued when that packet left — an equal-rank FIFO-order
-    violation.  A uid-stable PIFO never fires it (it would have served
-    the lower uid first), nor does a pure FIFO (earlier arrival first);
-    a scheduler that serves ties newest-first does so constantly, which
-    makes the hook the online conformance tap for the SLO auditor.
+    packet that shares the previously served packet's rank, arrived at
+    that port before it, and was already queued when that packet left —
+    an equal-rank FIFO-order violation under {!Sched.Qdisc.t.dequeue}'s
+    port-arrival contract.  A conforming queue never fires it (it would
+    have served the earlier arrival first); a scheduler that serves
+    ties newest-first does so constantly, which makes the hook the
+    online conformance tap for the SLO auditor.  SP-PIFO, which can
+    split equal ranks across its queues, can fire it too.
     With telemetry, each firing also increments the
     [net.tie_inversions] counter.
 

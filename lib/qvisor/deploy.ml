@@ -80,10 +80,10 @@ let instantiate ~(plan : Synthesizer.plan) backend =
   let ( let* ) = Result.bind in
   match backend with
   | Ideal_pifo { capacity_pkts } ->
-    (* Bucket_queue is the default exact backend: Pifo_queue's semantics
-       with ties in port-arrival order, from a min-max heap of O(log n)
-       operations.  The plan's transformed rank space is bounded by
-       [rank_hi], so no rank the synthesizer emits is clamped. *)
+    (* Bucket_queue is the exact backend: PIFO semantics with ties in
+       port-arrival order, from a min-max heap of O(log n) operations.
+       The plan's transformed rank space is bounded by [rank_hi], so no
+       rank the synthesizer emits is clamped. *)
     Ok
       (Sched.Bucket_queue.create ~name:"qvisor-pifo"
          ~rank_max:plan.Synthesizer.rank_hi ~capacity_pkts ())

@@ -167,7 +167,7 @@ let create ?(name = "bucket-pifo") ?(rank_max = 65535) ~capacity_pkts () =
   let n = ref 0 in
   (* [pool] is filled lazily with the first enqueued packet as the
      blank (allocating a dummy Packet.t would perturb the uid stream
-     that tie-breaking elsewhere depends on). *)
+     that traces and flight dumps name packets by). *)
   let pool = ref [||] in
   let free = Array.init capacity_pkts Fun.id in
   let arrivals = ref 0 in

@@ -14,11 +14,10 @@
     Semantics: dequeue serves the lowest rank, and equal ranks in the
     order they arrived at this queue.  When the queue is full, an
     arrival ranked no better than the current worst is dropped;
-    otherwise the latest arrival of the worst rank is evicted.  This
-    matches {!Pifo_queue} wherever arrival order and uid order agree
-    (they can differ on a multi-hop fabric, see {!Qdisc.t.dequeue}), and
-    it is fuzzed against {!Pifo_queue} and the conformance oracle as an
-    exact backend.
+    otherwise the latest arrival of the worst rank is evicted.  Arrival
+    is the order packets were enqueued here, not their uid order (the
+    tie contract of {!Qdisc.t.dequeue}).  It is fuzzed against a
+    sorted-list model and the conformance oracle as an exact backend.
 
     Ranks outside [\[0, rank_max\]] are clamped to the boundary for
     ordering, so out-of-range ranks tie (the packet's own [rank] field

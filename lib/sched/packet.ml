@@ -20,11 +20,12 @@ type t = {
 
 let header_bytes = 58
 
-(* Domain-local, not a shared global: [uid] only breaks rank ties between
-   packets of the same simulation, and a simulation runs entirely on one
-   domain — so per-domain counters keep tie-breaking deterministic when
-   independent simulations run on parallel worker domains (a shared
-   counter would interleave differently on every run). *)
+(* Domain-local, not a shared global: [uid] names a packet within its
+   simulation (traces, flight dumps, drop identity), and a simulation
+   runs entirely on one domain — so per-domain counters keep uids
+   deterministic when independent simulations run on parallel worker
+   domains (a shared counter would interleave differently on every
+   run). *)
 let uid_counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let reset_uid_counter start = Domain.DLS.get uid_counter := start
@@ -55,7 +56,3 @@ let make ?(kind = Data) ?(tenant = 0) ?(src = 0) ?(dst = 0) ?(seq = 0) ?payload
     rank;
     enqueued_at = created_at;
   }
-
-let compare_rank a b =
-  let c = compare a.rank b.rank in
-  if c <> 0 then c else compare a.uid b.uid

@@ -59,9 +59,6 @@ val header_bytes : int
 (** Fixed per-packet header overhead (Ethernet+IP+TCP ≈ 58 bytes, the
     value Netbench uses). *)
 
-val compare_rank : t -> t -> int
-(** Order by rank, then by [uid] (arrival order) for stability. *)
-
 val reset_uid_counter : int -> unit
 (** [reset_uid_counter start]: the calling domain's next packet gets uid
     [start + 1].  The counter is domain-local, so a simulation that

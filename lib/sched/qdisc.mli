@@ -31,26 +31,19 @@ type t = {
       (** Remove the packet the discipline schedules next.
 
           {b Equal-rank tie-break contract:} among queued packets the
-          discipline considers equally urgent, service is FIFO.  Two
-          orders go by that name, and they differ on a multi-hop
-          fabric, where packets reach a port out of uid order:
-          - port arrival: the order packets were enqueued into this
-            discipline.  [Bucket_queue], [Pifo_tree] and the
-            FIFO-based disciplines below break ties this way, and so
-            does the conformance oracle (its arrival id).
-          - ascending {!Packet.t.uid}, the order packets were created:
-            [Pifo_queue] breaks ties this way.
-
-          The two agree wherever packets are enqueued in uid order, as
-          in every conformance scenario.  Which order is the contract is
-          not settled yet.
+          discipline considers equally urgent, service is in port
+          arrival order: the order packets were enqueued into this
+          discipline, as a hardware PIFO sees them.  It is not uid
+          order: on a multi-hop fabric packets reach a port out of uid
+          order, and the conformance fleet creates each scenario's
+          packets out of arrival order, so a queue that breaks ties by
+          {!Packet.t.uid} fails it.  The conformance oracle breaks ties
+          by its arrival id.
 
           Audit (verified by [test_conformance] and fuzzed by
           [qvisor-cli conformance]):
-          - [Pifo_queue]: orders by [(rank, uid)] — exact where arrival
-            and uid orders agree.
           - [Bucket_queue]: a min-max heap keyed by [(rank, arrival)] —
-            exact, fuzzed against [Pifo_queue] and the oracle.
+            exact, fuzzed against a sorted-list model and the oracle.
           - [Pifo_tree]: per-node arrival sequencing — conformant.
           - [Fifo_queue], [Sp_bank], [Drr_bank], [Aifo]: FIFO within each
             internal queue — conformant among packets mapped to the same

@@ -157,12 +157,13 @@ let drive_qdisc q sc =
   (!accepted, List.rev !served, !dropped)
 
 let test_pifo_heap_order_under_interleavings () =
-  (* After any interleaving of enqueues and dequeues, draining a PIFO
-     yields (rank, uid)-sorted output, and packet conservation holds. *)
+  (* After any interleaving of enqueues and dequeues, draining the heap
+     PIFO yields (rank, uid)-sorted output (packets are made in arrival
+     order here), and packet conservation holds. *)
   for seed = 0 to 99 do
     let sc = scenario_of_seed seed in
     let q =
-      Sched.Pifo_queue.create
+      Sched.Bucket_queue.create
         ~capacity_pkts:sc.Conformance.Scenario.capacity_pkts ()
     in
     let accepted, served, dropped = drive_qdisc q sc in
@@ -286,6 +287,60 @@ let test_injected_fault_detected () =
             f.Conformance.Differential.backend)
         res.Conformance.Differential.failures)
     Conformance.Fault.all
+
+(* An exact PIFO in every respect but the tie contract: equal ranks go by
+   uid, not by port arrival.  Replay makes packets out of arrival order,
+   so the fleet must catch it. *)
+let uid_keyed_pifo ~capacity_pkts =
+  let queue = ref [] in
+  let key (p : Sched.Packet.t) = (p.Sched.Packet.rank, p.Sched.Packet.uid) in
+  let insert p =
+    queue := List.merge (fun a b -> compare (key a) (key b)) !queue [ p ]
+  in
+  let enqueue_drop p on_drop =
+    if List.length !queue < capacity_pkts then insert p
+    else
+      let worst = List.nth !queue (capacity_pkts - 1) in
+      if p.Sched.Packet.rank >= worst.Sched.Packet.rank then on_drop p
+      else begin
+        queue := List.filter (fun q -> q != worst) !queue;
+        insert p;
+        on_drop worst
+      end
+  in
+  let dequeue () =
+    match !queue with
+    | [] -> None
+    | p :: rest ->
+      queue := rest;
+      Some p
+  in
+  Sched.Qdisc.make ~name:"uid-pifo" ~enqueue_drop ~dequeue
+    ~peek:(fun () -> List.nth_opt !queue 0)
+    ~length:(fun () -> List.length !queue)
+    ~bytes:(fun () -> 0)
+    ~drops:(fun () -> 0)
+
+let test_uid_keyed_pifo_fails_fleet () =
+  let backend =
+    {
+      Conformance.Differential.bname = "uid-pifo";
+      expect_exact = true;
+      make = (fun ~plan:_ ~capacity_pkts -> Ok (uid_keyed_pifo ~capacity_pkts));
+    }
+  in
+  let res =
+    Conformance.Differential.run_cases ~jobs:2 ~backends:[ backend ] ~seed:42
+      ~cases:200 ()
+  in
+  let exact =
+    (List.hd res.Conformance.Differential.stats)
+      .Conformance.Differential.exact_cases
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "uid-keyed pifo exact on %d of 200 cases" exact)
+    true
+    (res.Conformance.Differential.failures <> [] && exact < 200)
 
 let test_shrinker_minimizes_injected_fault () =
   List.iter
@@ -417,6 +472,8 @@ let () =
             test_run_cases_jobs_invariant;
           Alcotest.test_case "injected faults detected" `Quick
             test_injected_fault_detected;
+          Alcotest.test_case "uid-keyed pifo fails the fleet" `Quick
+            test_uid_keyed_pifo_fails_fleet;
           Alcotest.test_case "strict violation scoring" `Quick
             test_strict_violation_scoring;
           Alcotest.test_case "fault qdisc basics" `Quick

@@ -48,6 +48,31 @@ let test_all_schemes_run () =
         (r.Experiments.Fig4.flows_completed > 0))
     Experiments.Fig4.paper_schemes
 
+let test_default_scale_digest () =
+  (* Fig. 4 of record at default scale (24 hosts), next to the quick
+     pins: the CSV rows of the naive PIFO and QVISOR [pfabric >> edf] at
+     load 0.5, as recorded from the reference implementation. *)
+  let params =
+    { Experiments.Fig4.default with Experiments.Fig4.load = 0.5 }
+  in
+  let grid =
+    Experiments.Fig4.jobs_of_grid params ~loads:[ 0.5 ]
+      ~schemes:
+        [
+          Experiments.Fig4.Pifo_naive;
+          Experiments.Fig4.Qvisor_policy "pfabric >> edf";
+        ]
+  in
+  match Experiments.Fig4.run_jobs ~jobs:2 params grid with
+  | Error e -> Alcotest.fail (Qvisor.Error.to_string e)
+  | Ok results ->
+    let rows =
+      String.concat "\n" (List.map Experiments.Export.fig4_row results)
+    in
+    Alcotest.(check string) "default-scale CSV rows digest"
+      "3cbfada56ac3566ce9e4ce12a4ca9e5c"
+      (Digest.to_hex (Digest.string rows))
+
 let test_ideal_has_no_cbr () =
   let r = run Experiments.Fig4.Pifo_pfabric_only in
   Alcotest.(check bool) "no CBR stats in the ideal" true
@@ -294,6 +319,27 @@ let test_sweep_error_propagates () =
   | Error e ->
     Alcotest.failf "wrong error: %s" (Qvisor.Error.to_string e)
 
+let test_sweep_refuses_before_any_job () =
+  (* A bad shared parameter, or one bad load in the grid, is refused
+     before the pool starts: no job's [on_start] runs. *)
+  let started = Atomic.make 0 in
+  let refused params loads =
+    let grid =
+      Experiments.Fig4.jobs_of_grid params ~loads ~schemes:sweep_schemes
+    in
+    match
+      Experiments.Fig4.run_jobs ~jobs:2
+        ~on_start:(fun _ -> Atomic.incr started)
+        params grid
+    with
+    | Error (Qvisor.Error.Config _) -> ()
+    | Error e -> Alcotest.failf "wrong error: %s" (Qvisor.Error.to_string e)
+    | Ok _ -> Alcotest.fail "expected the sweep to be refused"
+  in
+  refused { tiny_params with Experiments.Fig4.pfabric_unit_bytes = 0 } [ 0.3 ];
+  refused tiny_params [ 0.3; nan ];
+  Alcotest.(check int) "jobs started" 0 (Atomic.get started)
+
 (* ------------------------------------------------------------------ *)
 (* Cliopts: the CLIs' shared converters and fan-out                   *)
 (* ------------------------------------------------------------------ *)
@@ -534,6 +580,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Slow test_seed_changes_runs;
           Alcotest.test_case "all schemes run" `Slow test_all_schemes_run;
           Alcotest.test_case "ideal has no CBR" `Slow test_ideal_has_no_cbr;
+          Alcotest.test_case "default-scale digest" `Slow
+            test_default_scale_digest;
           Alcotest.test_case "qvisor tracks ideal" `Slow test_qvisor_tracks_ideal;
           Alcotest.test_case "tree backend" `Slow test_tree_backend_runs;
           Alcotest.test_case "minor words per hop" `Slow
@@ -558,6 +606,8 @@ let () =
             test_jobs_of_grid_order_and_seeds;
           Alcotest.test_case "error propagates" `Slow
             test_sweep_error_propagates;
+          Alcotest.test_case "bad params start no job" `Quick
+            test_sweep_refuses_before_any_job;
         ] );
       ( "cliopts",
         [

@@ -283,7 +283,7 @@ let test_guard_end_to_end_protection () =
   for _ = 1 to 30 do
     Qvisor.Guard.observe guard (mk_packet ~tenant:2 ~rank:0)
   done;
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
+  let pifo = Sched.Bucket_queue.create ~capacity_pkts:16 () in
   let offer tenant rank =
     let p = mk_packet ~tenant ~rank in
     Qvisor.Guard.process guard pre p;
@@ -491,7 +491,7 @@ let test_latency_bound_holds_in_sim () =
   in
   let pre = Qvisor.Preprocessor.of_plan plan in
   (* A 1 Gb/s output port: serve one 1518 B packet per 12.144 us. *)
-  let q = Sched.Pifo_queue.create ~capacity_pkts:10_000 () in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:10_000 () in
   let hi_rate = 12.5e6 (* B/s *) and hi_sigma = 30_000. in
   let envelopes = [ (1, Qvisor.Latency.envelope ~sigma:hi_sigma ~rho:hi_rate) ] in
   let bound =
@@ -834,7 +834,7 @@ let test_runtime_hot_swap_live_fabric () =
   in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
-      ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
+      ~make_qdisc:(fun _ -> Sched.Bucket_queue.create ~capacity_pkts:100 ())
       ~preprocess:(Qvisor.Runtime.process rt)
       ~deliver:(Netsim.Transport.deliver transport)
       ()
@@ -909,7 +909,7 @@ let test_churn_qvisor_protects () =
       qvisor
   in
   Alcotest.(check string) "table and activity plots digest"
-    "4fbf2182bb366c6e2e1119ed7dadb45e"
+    "7c241f8c19d1540d80208621d83ba766"
     (Digest.to_hex (Digest.string rendered))
 
 let () =

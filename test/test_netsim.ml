@@ -189,7 +189,9 @@ let test_net_pifo_ports_reorder () =
   (* With PIFO ports, a burst injected back-to-back leaves in rank order
      (after the head-of-line packet that seized the idle link). *)
   let sim, net, delivered =
-    tiny_net ~qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ()) ()
+    tiny_net
+      ~qdisc:(fun _ -> Sched.Bucket_queue.create ~capacity_pkts:100 ())
+      ()
   in
   List.iter
     (fun r ->
@@ -554,7 +556,9 @@ let test_transport_srpt_under_contention () =
      and pFabric ranks: the short flow must finish first even though the
      long one started first. *)
   let sim, _net, transport =
-    transport_net ~qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ()) ()
+    transport_net
+      ~qdisc:(fun _ -> Sched.Bucket_queue.create ~capacity_pkts:100 ())
+      ()
   in
   let order = ref [] in
   let ranker = Sched.Ranker.pfabric () in
@@ -614,7 +618,7 @@ let test_net_on_dequeue_feedback () =
   let served = ref 0 in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
-      ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
+      ~make_qdisc:(fun _ -> Sched.Bucket_queue.create ~capacity_pkts:100 ())
       ~on_dequeue:(fun p ->
         incr served;
         Sched.Ranker.on_dequeue ranker p)

@@ -483,7 +483,7 @@ let test_fig3_end_to_end () =
   Sched.Packet.reset_uid_counter 0;
   let plan = synth (three_tenants ()) "T1 >> T2 + T3" in
   let pre = Qvisor.Preprocessor.of_plan plan in
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
+  let pifo = Sched.Bucket_queue.create ~capacity_pkts:16 () in
   let offer tenant rank =
     let p = mk_packet ~tenant ~rank in
     Qvisor.Preprocessor.process pre p;
@@ -527,7 +527,7 @@ let test_fig3_naive_clash () =
      ranks {3,5} beat pFabric's {7,8,9} even though the operator wants T1
      on top. *)
   Sched.Packet.reset_uid_counter 0;
-  let pifo = Sched.Pifo_queue.create ~capacity_pkts:16 () in
+  let pifo = Sched.Bucket_queue.create ~capacity_pkts:16 () in
   let offer tenant rank =
     ignore (pifo.Sched.Qdisc.enqueue (mk_packet ~tenant ~rank))
   in

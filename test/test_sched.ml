@@ -23,15 +23,6 @@ let test_packet_uids_unique () =
   let a = mk () and b = mk () in
   Alcotest.(check bool) "distinct uids" true (a.Sched.Packet.uid <> b.Sched.Packet.uid)
 
-let test_packet_compare_rank () =
-  Sched.Packet.reset_uid_counter 0;
-  let a = mk ~rank:5 () in
-  let b = mk ~rank:3 () in
-  let c = mk ~rank:5 () in
-  Alcotest.(check bool) "lower rank first" true (Sched.Packet.compare_rank b a < 0);
-  Alcotest.(check bool) "tie broken by arrival" true
-    (Sched.Packet.compare_rank a c < 0)
-
 (* ------------------------------------------------------------------ *)
 (* FIFO                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -67,50 +58,20 @@ let test_fifo_invalid_capacity () =
     (raises (fun () -> ignore (Sched.Fifo_queue.create ~capacity_pkts:0 ())))
 
 (* ------------------------------------------------------------------ *)
-(* PIFO                                                               *)
+(* PIFO (the min-max-heap exact PIFO)                                 *)
 (* ------------------------------------------------------------------ *)
-
-let test_pifo_rank_order () =
-  let q = Sched.Pifo_queue.create ~capacity_pkts:10 () in
-  List.iter
-    (fun r -> ignore (q.Sched.Qdisc.enqueue (mk ~rank:r ())))
-    [ 5; 1; 9; 3; 7 ];
-  Alcotest.(check (list int)) "sorted by rank" [ 1; 3; 5; 7; 9 ]
-    (ranks_of (Sched.Qdisc.drain q))
-
-let test_pifo_stable_ties () =
-  Sched.Packet.reset_uid_counter 0;
-  let q = Sched.Pifo_queue.create ~capacity_pkts:10 () in
-  let ps = List.init 5 (fun _ -> mk ~rank:4 ()) in
-  List.iter (fun p -> ignore (q.Sched.Qdisc.enqueue p)) ps;
-  Alcotest.(check (list int)) "FIFO among equal ranks" (uids_of ps)
-    (uids_of (Sched.Qdisc.drain q))
 
 let test_pifo_paper_example () =
   (* Fig. 3's scheduler: offered ranks 1,3,8,7,9 → served 1,3,7,8,9. *)
-  let q = Sched.Pifo_queue.create ~capacity_pkts:16 () in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:16 () in
   List.iter
     (fun r -> ignore (q.Sched.Qdisc.enqueue (mk ~rank:r ())))
     [ 1; 3; 8; 7; 9 ];
   Alcotest.(check (list int)) "PIFO sorts" [ 1; 3; 7; 8; 9 ]
     (ranks_of (Sched.Qdisc.drain q))
 
-let test_pifo_worst_eviction () =
-  let q = Sched.Pifo_queue.create ~capacity_pkts:3 () in
-  let worst = mk ~rank:100 () in
-  ignore (q.Sched.Qdisc.enqueue (mk ~rank:5 ()));
-  ignore (q.Sched.Qdisc.enqueue worst);
-  ignore (q.Sched.Qdisc.enqueue (mk ~rank:7 ()));
-  (* Full.  A better-ranked arrival evicts the worst packet. *)
-  let better = mk ~rank:1 () in
-  let dropped = q.Sched.Qdisc.enqueue better in
-  Alcotest.(check (list int)) "worst evicted" [ worst.Sched.Packet.uid ]
-    (uids_of dropped);
-  Alcotest.(check (list int)) "queue keeps best three" [ 1; 5; 7 ]
-    (ranks_of (Sched.Qdisc.drain q))
-
 let test_pifo_worse_arrival_dropped () =
-  let q = Sched.Pifo_queue.create ~capacity_pkts:2 () in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:2 () in
   ignore (q.Sched.Qdisc.enqueue (mk ~rank:1 ()));
   ignore (q.Sched.Qdisc.enqueue (mk ~rank:2 ()));
   let worse = mk ~rank:50 () in
@@ -119,23 +80,13 @@ let test_pifo_worse_arrival_dropped () =
     (uids_of dropped);
   Alcotest.(check int) "drops counted" 1 (q.Sched.Qdisc.drops ())
 
-let test_pifo_equal_rank_full_drops_arrival () =
-  (* An arrival equal to the worst must not evict it (no churn). *)
-  let q = Sched.Pifo_queue.create ~capacity_pkts:1 () in
-  let first = mk ~rank:5 () in
-  ignore (q.Sched.Qdisc.enqueue first);
-  let second = mk ~rank:5 () in
-  let dropped = q.Sched.Qdisc.enqueue second in
-  Alcotest.(check (list int)) "newcomer dropped" [ second.Sched.Packet.uid ]
-    (uids_of dropped);
-  Alcotest.(check (list int)) "original kept" [ first.Sched.Packet.uid ]
-    (uids_of (Sched.Qdisc.drain q))
-
 let prop_pifo_sorted =
   QCheck.Test.make ~name:"pifo dequeues in rank order" ~count:300
     QCheck.(list (int_bound 1000))
     (fun ranks ->
-      let q = Sched.Pifo_queue.create ~capacity_pkts:(max 1 (List.length ranks)) () in
+      let q =
+        Sched.Bucket_queue.create ~capacity_pkts:(max 1 (List.length ranks)) ()
+      in
       List.iter (fun r -> ignore (q.Sched.Qdisc.enqueue (mk ~rank:r ()))) ranks;
       let out = ranks_of (Sched.Qdisc.drain q) in
       out = List.sort compare ranks)
@@ -144,7 +95,7 @@ let prop_pifo_bounded_keeps_best =
   QCheck.Test.make ~name:"bounded pifo keeps the best-ranked packets" ~count:300
     QCheck.(pair (int_range 1 20) (list_of_size (Gen.int_range 0 60) (int_bound 100)))
     (fun (cap, ranks) ->
-      let q = Sched.Pifo_queue.create ~capacity_pkts:cap () in
+      let q = Sched.Bucket_queue.create ~capacity_pkts:cap () in
       List.iter (fun r -> ignore (q.Sched.Qdisc.enqueue (mk ~rank:r ()))) ranks;
       let kept = ranks_of (Sched.Qdisc.drain q) in
       let expected =
@@ -195,9 +146,9 @@ let test_bucket_worst_eviction () =
     (ranks_of (Sched.Qdisc.drain q))
 
 let test_bucket_equal_rank_full_drops_arrival () =
-  (* Same no-churn rule as Pifo_queue: among a full queue's worst rank,
-     the newest packet is the eviction victim, so an equal-rank arrival
-     (necessarily the newest) is tail-dropped. *)
+  (* No churn: among a full queue's worst rank, the newest packet is the
+     eviction victim, so an equal-rank arrival (necessarily the newest)
+     is tail-dropped. *)
   let q = Sched.Bucket_queue.create ~capacity_pkts:1 () in
   let first = mk ~rank:5 () in
   ignore (q.Sched.Qdisc.enqueue first);
@@ -277,10 +228,12 @@ let test_bucket_drained_footprint () =
     (Printf.sprintf "%d reachable words <= 8 x capacity" swept)
     true (swept <= 8 * cap)
 
-(* One (rank_max, capacity, op list) ~ one scenario: enqueue a rank, or
-   dequeue.  Ranks are mostly dense (ties and evictions) with some at
-   anchor-page boundaries, at the top of the rank space, negative, and
-   above [rank_max]. *)
+(* One (rank_max, capacity, op list, creation order) ~ one scenario:
+   enqueue a rank, or dequeue.  Ranks are mostly dense (ties and
+   evictions) with some at power-of-two boundaries, at the top of the
+   rank space, negative, and above [rank_max].  The creation order lists
+   the arrival indices in the order their packets are made, a shuffle,
+   so uid order is not arrival order. *)
 let bucket_ops_gen =
   let open QCheck.Gen in
   let rank =
@@ -295,45 +248,93 @@ let bucket_ops_gen =
             ] );
       ]
   in
+  let scenario =
+    triple (oneofl [ 65535; 1024; 2000 ]) (int_range 1 12)
+      (list_size (int_range 0 120) (option rank))
+    >>= fun (rank_max, cap, ops) ->
+    let arrivals = List.length (List.filter Option.is_some ops) in
+    map
+      (fun order -> (rank_max, cap, ops, order))
+      (shuffle_l (List.init arrivals Fun.id))
+  in
   QCheck.make
-    ~print:QCheck.Print.(triple int int (list (option int)))
-    (triple (oneofl [ 65535; 1024; 2000 ]) (int_range 1 12)
-       (list_size (int_range 0 120) (option rank)))
+    ~print:QCheck.Print.(quad int int (list (option int)) (list int))
+    scenario
 
-let prop_bucket_matches_pifo_map =
-  (* Heap-vs-bucket differential: on any interleaving of enqueues (dense
-     ranks, forcing ties and evictions at small capacity) and dequeues,
-     Bucket_queue emits byte-identical uid sequences — served and
-     dropped — to the Map-based Pifo_queue fed the clamped ranks. *)
-  QCheck.Test.make ~name:"bucket queue matches map-based pifo" ~count:300
+let prop_bucket_matches_model =
+  (* The heap against the oracle's algorithm, a list sorted by (clamped
+     rank, arrival index) that tail-drops an arrival no better than its
+     last entry and otherwise evicts that entry: on any interleaving of
+     enqueues (dense ranks, forcing ties and evictions at small
+     capacity) and dequeues, both serve and drop the same uids. *)
+  QCheck.Test.make ~name:"bucket queue matches sorted list" ~count:300
     bucket_ops_gen
-    (fun (rank_max, cap, ops) ->
-      let bucket = Sched.Bucket_queue.create ~rank_max ~capacity_pkts:cap () in
-      let map = Sched.Pifo_queue.create ~capacity_pkts:cap () in
-      let run ~clamp (q : Sched.Qdisc.t) =
-        (* Replay under a reset uid counter so both backends see packets
-           with identical uids. *)
-        Sched.Packet.reset_uid_counter 0;
+    (fun (rank_max, cap, ops, order) ->
+      let ranks = Array.of_list (List.filter_map Fun.id ops) in
+      let order = Array.of_list order in
+      (* Arrival [order.(k)]'s packet is made [k]th; [nth] inverts that. *)
+      let made =
+        Array.init (Array.length order) (fun k -> mk ~rank:ranks.(order.(k)) ())
+      in
+      let nth = Array.make (Array.length order) 0 in
+      Array.iteri (fun k i -> nth.(i) <- k) order;
+      let run ~enqueue ~dequeue =
         let trace = ref [] in
+        let emit (p : Sched.Packet.t) tag =
+          trace := (tag, p.Sched.Packet.uid) :: !trace
+        in
+        let arrival = ref 0 in
         List.iter
-          (fun op ->
-            match op with
-            | Some rank ->
-              let rank = if clamp then max 0 (min rank_max rank) else rank in
-              q.Sched.Qdisc.enqueue_drop (mk ~rank ()) (fun d ->
-                  trace := `Drop d.Sched.Packet.uid :: !trace)
+          (function
+            | Some _ ->
+              enqueue !arrival made.(nth.(!arrival)) (fun d -> emit d `Drop);
+              incr arrival
             | None -> (
-              match q.Sched.Qdisc.dequeue () with
-              | Some p -> trace := `Serve p.Sched.Packet.uid :: !trace
-              | None -> trace := `Empty :: !trace))
+              match dequeue () with
+              | Some p -> emit p `Serve
+              | None -> trace := (`Empty, -1) :: !trace))
           ops;
-        List.iter
-          (fun (p : Sched.Packet.t) ->
-            trace := `Serve p.Sched.Packet.uid :: !trace)
-          (Sched.Qdisc.drain q);
+        let rec drain () =
+          Option.iter
+            (fun p ->
+              emit p `Serve;
+              drain ())
+            (dequeue ())
+        in
+        drain ();
         List.rev !trace
       in
-      run ~clamp:false bucket = run ~clamp:true map)
+      let q = Sched.Bucket_queue.create ~rank_max ~capacity_pkts:cap () in
+      let heap =
+        run
+          ~enqueue:(fun _ p -> q.Sched.Qdisc.enqueue_drop p)
+          ~dequeue:q.Sched.Qdisc.dequeue
+      in
+      let model = ref [] in
+      let key p = max 0 (min rank_max p.Sched.Packet.rank) in
+      let insert i p =
+        let before (r, i, _) (r', i', _) = compare (r, i) (r', i') in
+        model := List.merge before !model [ (key p, i, p) ]
+      in
+      let enqueue i p on_drop =
+        if List.length !model < cap then insert i p
+        else
+          let ((worst, _, victim) as last) = List.nth !model (cap - 1) in
+          if key p >= worst then on_drop p
+          else begin
+            model := List.filter (fun e -> e != last) !model;
+            insert i p;
+            on_drop victim
+          end
+      in
+      let dequeue () =
+        match !model with
+        | [] -> None
+        | (_, _, p) :: rest ->
+          model := rest;
+          Some p
+      in
+      heap = run ~enqueue ~dequeue)
 
 (* ------------------------------------------------------------------ *)
 (* SP bank                                                            *)
@@ -836,7 +837,7 @@ let test_pfabric_plus_pifo_is_srpt () =
   (* End-to-end sanity: pFabric ranks + a PIFO queue serve the shortest
      remaining flow first. *)
   let rk = Sched.Ranker.pfabric () in
-  let q = Sched.Pifo_queue.create ~capacity_pkts:10 () in
+  let q = Sched.Bucket_queue.create ~capacity_pkts:10 () in
   let flows = [ (1, 900_000); (2, 5_000); (3, 90_000) ] in
   List.iter
     (fun (flow, remaining) ->
@@ -866,7 +867,6 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_packet_defaults;
           Alcotest.test_case "uids unique" `Quick test_packet_uids_unique;
-          Alcotest.test_case "compare_rank" `Quick test_packet_compare_rank;
         ] );
       ( "fifo",
         [
@@ -877,13 +877,8 @@ let () =
         ] );
       ( "pifo",
         [
-          Alcotest.test_case "rank order" `Quick test_pifo_rank_order;
-          Alcotest.test_case "stable ties" `Quick test_pifo_stable_ties;
           Alcotest.test_case "paper example" `Quick test_pifo_paper_example;
-          Alcotest.test_case "worst eviction" `Quick test_pifo_worst_eviction;
           Alcotest.test_case "worse arrival dropped" `Quick test_pifo_worse_arrival_dropped;
-          Alcotest.test_case "equal rank keeps incumbent" `Quick
-            test_pifo_equal_rank_full_drops_arrival;
           qc prop_pifo_sorted;
           qc prop_pifo_bounded_keeps_best;
         ] );
@@ -899,7 +894,7 @@ let () =
           Alcotest.test_case "arrival ties" `Quick test_bucket_arrival_ties;
           Alcotest.test_case "drained footprint" `Quick
             test_bucket_drained_footprint;
-          qc prop_bucket_matches_pifo_map;
+          qc prop_bucket_matches_model;
         ] );
       ( "sp_bank",
         [
